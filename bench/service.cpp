@@ -55,7 +55,7 @@ using namespace graphpi;
 const std::vector<std::vector<std::string>> kLevelPatterns = {
     {"triangle", "rectangle", "house"},
     {"tailed_triangle", "clique4", "star5"},
-    {"hourglass", "cycle_6_tri", "path4"},
+    {"hourglass", "clique5", "path4"},
 };
 const std::vector<int> kLevels = {1, 4, 8};
 constexpr int kWarmRounds = 12;
@@ -130,14 +130,23 @@ struct LevelResult {
   std::uint64_t served = 0;
 };
 
+/// Queries whose response was missing or not {"status":"ok"}; any one
+/// fails the bench, since an error round trip is no latency sample.
+std::atomic<std::uint64_t> g_failed_queries{0};
+
 /// One round-trip query; returns latency in ms (negative on failure).
 double timed_query(Client& c, const std::string& spec) {
   support::Timer t;
-  if (!c.send_line("{\"pattern\":\"" + spec +
-                   "\",\"backend\":\"generated\"}"))
-    return -1.0;
   std::string line;
-  if (!c.read_line(&line)) return -1.0;
+  if (!c.send_line("{\"pattern\":\"" + spec +
+                   "\",\"backend\":\"generated\"}") ||
+      !c.read_line(&line) ||
+      line.find("\"status\":\"ok\"") == std::string::npos) {
+    g_failed_queries.fetch_add(1);
+    std::fprintf(stderr, "service bench: query '%s' failed: %s\n",
+                 spec.c_str(), line.c_str());
+    return -1.0;
+  }
   return t.elapsed_seconds() * 1e3;
 }
 
@@ -308,6 +317,11 @@ int main(int argc, char** argv) {
     out << buf << "  \"metrics\": " << bench::metrics_snapshot_json()
         << "\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
+  }
+  if (g_failed_queries.load() != 0) {
+    std::fprintf(stderr, "service bench: %llu queries failed\n",
+                 static_cast<unsigned long long>(g_failed_queries.load()));
+    return 1;
   }
   return 0;
 }

@@ -39,27 +39,8 @@ class CountTimer {
   support::Timer timer_;
 };
 
-/// Applies MatchOptions::kernels for the duration of one public call and
-/// restores the previous dispatch selection after (no-op for kAuto).
-class ScopedIsa {
- public:
-  explicit ScopedIsa(KernelIsa want)
-      : prev_(active_kernel_isa()),
-        applied_(want != KernelIsa::kAuto && want != prev_ &&
-                 select_kernel_isa(want)) {}
-  ~ScopedIsa() {
-    if (applied_) select_kernel_isa(prev_);
-  }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
+}  // namespace
 
- private:
-  KernelIsa prev_;
-  bool applied_;
-};
-
-/// Builds the call's ExecControl from the bounded-execution options. The
-/// deadline is armed here — i.e. when execution starts, after planning.
 support::ExecControl make_control(const MatchOptions& options) {
   support::ExecControl control;
   if (options.timeout_ms > 0.0) control.arm_deadline_ms(options.timeout_ms);
@@ -69,7 +50,19 @@ support::ExecControl make_control(const MatchOptions& options) {
   return control;
 }
 
-}  // namespace
+dist::ClusterOptions cluster_options(const MatchOptions& options,
+                                     const support::ExecControl* control) {
+  dist::ClusterOptions copt;
+  copt.nodes = options.nodes;
+  copt.task_depth = options.task_depth;
+  copt.partition = options.partition;
+  copt.faults = options.faults;
+  copt.control = control;
+  copt.exec = options.dist_exec;
+  copt.workers_per_node = options.dist_workers;
+  copt.mailbox_capacity = options.dist_mailbox_capacity;
+  return copt;
+}
 
 GraphPi::GraphPi(const Graph& graph)
     : graph_(&graph), stats_(GraphStats::of(graph)) {}
@@ -80,12 +73,7 @@ Configuration GraphPi::plan(const Pattern& pattern,
   PlannerOptions planner;
   planner.use_iep = options.use_iep;
   planner.max_restriction_sets = options.max_restriction_sets;
-  Configuration config = plan_configuration(pattern, stats_, planner, diag);
-  if (options.empirical_validation) {
-    GRAPHPI_CHECK_MSG(empirically_validate(config),
-                      "planned configuration failed empirical validation");
-  }
-  return config;
+  return plan_configuration(pattern, stats_, planner, diag);
 }
 
 Count GraphPi::count(const Pattern& pattern, const MatchOptions& options,
@@ -102,7 +90,6 @@ Count GraphPi::count(const Configuration& config, const MatchOptions& options,
   const support::trace::ScopedSink sink(options.trace_sink);
   const support::trace::Span span(backend_span_name(options.backend));
   const CountTimer count_timer;
-  const ScopedIsa isa(options.kernels);
   const support::ExecControl control = make_control(options);
   const support::ExecControl* ctl = control.armed() ? &control : nullptr;
   if (report != nullptr) *report = support::RunReport{};
@@ -125,25 +112,13 @@ Count GraphPi::count(const Configuration& config, const MatchOptions& options,
       Matcher::Workspace ws;
       return matcher.count(ws, ctl, report);
     }
-    case Backend::kParallel: {
-      ParallelOptions popt;
-      popt.task_depth = options.task_depth;
-      popt.num_threads = options.threads;
-      return count_parallel(*graph_, config, popt, nullptr, ctl, report);
-    }
-    case Backend::kDistributed: {
-      dist::ClusterOptions copt;
-      copt.nodes = options.nodes;
-      copt.task_depth = options.task_depth;
-      copt.partition = options.partition;
-      copt.faults = options.faults;
-      copt.control = ctl;
-      copt.exec = options.dist_exec;
-      copt.workers_per_node = options.dist_workers;
-      copt.mailbox_capacity = options.dist_mailbox_capacity;
-      return dist::distributed_count(*graph_, config, copt,
+    case Backend::kParallel:
+      return count_parallel(*graph_, config, {options.threads}, nullptr, ctl,
+                            report);
+    case Backend::kDistributed:
+      return dist::distributed_count(*graph_, config,
+                                     cluster_options(options, ctl),
                                      options.cluster_stats, report);
-    }
   }
   GRAPHPI_CHECK_MSG(false, "unknown backend");
   return 0;
@@ -175,7 +150,6 @@ std::vector<Count> GraphPi::count_batch_impl(
   const support::trace::ScopedSink sink(options.trace_sink);
   const support::trace::Span span(backend_span_name(options.backend));
   const CountTimer count_timer;
-  const ScopedIsa isa(options.kernels);
   const support::ExecControl* ctl =
       control != nullptr && control->armed() ? control : nullptr;
   if (report != nullptr) *report = support::RunReport{};
@@ -184,24 +158,13 @@ std::vector<Count> GraphPi::count_batch_impl(
             jit::run_generated(*graph_, forest, options.threads, ctl, report))
       return *counts;
   }
-  if (options.backend == Backend::kDistributed) {
-    dist::ClusterOptions copt;
-    copt.nodes = options.nodes;
-    copt.task_depth = options.task_depth;
-    copt.partition = options.partition;
-    copt.faults = options.faults;
-    copt.control = ctl;
-    copt.exec = options.dist_exec;
-    copt.workers_per_node = options.dist_workers;
-    copt.mailbox_capacity = options.dist_mailbox_capacity;
-    return dist::distributed_count_batch(*graph_, forest, copt,
+  if (options.backend == Backend::kDistributed)
+    return dist::distributed_count_batch(*graph_, forest,
+                                         cluster_options(options, ctl),
                                          options.cluster_stats, report);
-  }
-  if (options.backend == Backend::kParallel) {
-    ParallelOptions popt;
-    popt.num_threads = options.threads;
-    return count_batch_parallel(*graph_, forest, popt, nullptr, ctl, report);
-  }
+  if (options.backend == Backend::kParallel)
+    return count_batch_parallel(*graph_, forest, {options.threads}, nullptr,
+                                ctl, report);
   // Serial (and the generated backend's interpreter fallback).
   const ForestExecutor executor(*graph_, forest);
   if (ctl == nullptr && report == nullptr) return executor.count();
@@ -267,15 +230,11 @@ void GraphPi::find_all(const Pattern& pattern, const EmbeddingCallback& cb,
                        const MatchOptions& options) const {
   const support::trace::ScopedSink sink(options.trace_sink);
   const support::trace::Span span("find_all");
-  const ScopedIsa isa(options.kernels);
   MatchOptions listing = options;
   listing.use_iep = false;  // IEP cannot list embeddings
   const Configuration config = plan(pattern, listing);
   if (options.backend == Backend::kParallel) {
-    ParallelOptions popt;
-    popt.task_depth = options.task_depth;
-    popt.num_threads = options.threads;
-    enumerate_parallel(*graph_, config, cb, popt);
+    enumerate_parallel(*graph_, config, cb, {options.threads});
   } else {
     Matcher(*graph_, config).enumerate(cb);
   }

@@ -61,16 +61,11 @@ struct MatchOptions {
   /// exists (Section IV-D). Ignored for listing.
   bool use_iep = true;
   Backend backend = Backend::kSerial;
-  /// Set-kernel ISA for this call (graph/vertex_set.h): kAuto keeps the
-  /// current runtime dispatch choice; any other value selects that table
-  /// for the duration of the call and restores the previous selection
-  /// after. The dispatch table is an unsynchronized process-wide global —
-  /// don't mix per-call overrides with concurrent matching.
-  KernelIsa kernels = KernelIsa::kAuto;
   /// Worker threads for the parallel and generated backends (0 = OpenMP
-  /// runtime default); `nodes` / `task_depth` apply to the distributed
-  /// (and task_depth also the parallel) backend.
+  /// runtime default). Both split the work by root vertex.
   int threads = 0;
+  /// Distributed backend only: logical nodes, and the schedule depth at
+  /// which a node cuts its descent into tasks (dist::ClusterOptions).
   int nodes = 2;
   int task_depth = 1;
   /// How the distributed backend partitions the data graph into per-node
@@ -94,9 +89,6 @@ struct MatchOptions {
   /// forest chunks reports its chunks' aggregate). Ignored by the serial
   /// and parallel backends.
   dist::ClusterStats* cluster_stats = nullptr;
-  /// Re-validate the planned configuration empirically on small graphs
-  /// before running (cheap belt-and-braces on top of the K_n validation).
-  bool empirical_validation = false;
   /// Cap on Algorithm 1's restriction-set generation.
   std::size_t max_restriction_sets = 64;
 
@@ -112,9 +104,8 @@ struct MatchOptions {
   /// stop an in-flight counting call at the next poll. Null = none. The
   /// flag must outlive the call.
   const std::atomic<bool>* cancel = nullptr;
-  /// Stop after ~this many completed root units (root vertices, or
-  /// depth-`task_depth` prefix tasks for the parallel per-pattern
-  /// engine). 0 = unlimited. Enforced at poll boundaries.
+  /// Stop after ~this many completed root vertices. 0 = unlimited.
+  /// Enforced at poll boundaries.
   std::uint64_t work_budget = 0;
   /// Root units between deadline/cancel/budget polls (rounded up to a
   /// power of two; 0 = default 64). Smaller strides tighten stop latency
@@ -244,6 +235,17 @@ class GraphPi {
   const Graph* graph_;
   GraphStats stats_;
 };
+
+/// The one mapping from a call's options to its execution bounds: arms
+/// the deadline (from now — callers build the control when execution
+/// starts, after planning), the cancel flag, the root budget and the
+/// poll stride.
+[[nodiscard]] support::ExecControl make_control(const MatchOptions& options);
+
+/// The distributed backend's cluster options for one call, bounded by
+/// `control` (null = unbounded; not owned).
+[[nodiscard]] dist::ClusterOptions cluster_options(
+    const MatchOptions& options, const support::ExecControl* control);
 
 /// Cross-checks a planned configuration on small deterministic graphs:
 /// IEP count == plain count and restricted count * |Aut| == unrestricted

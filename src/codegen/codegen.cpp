@@ -8,6 +8,7 @@
 
 #include "codegen/kernel_abi.h"
 #include "support/check.h"
+#include "support/exec_control.h"
 
 namespace graphpi::codegen {
 
@@ -739,8 +740,8 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.line("u64 polled_total = 0;  // budget tally, flushed per stride");
   e.line("std::int32_t reason = 0;");
   e.line("#if defined(_OPENMP)");
-  e.line("// Root-partitioned parallel traversal (the count_batch_parallel");
-  e.line("// model): one State per worker, dynamic chunks over the root");
+  e.line("// Root-partitioned parallel traversal (the engine/parallel.h");
+  e.line("// root loop): one State per worker, dynamic chunks over the root");
   e.line("// vertices to ride out degree skew, per-plan reduction at the");
   e.line("// end. Workers only read g and call the stateless ops table, so");
   e.line("// host kernels stay safe under concurrency. The worker count is");
@@ -756,7 +757,8 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.line("for (u64 i = 0; i < " + np + "; ++i) s.sums[i] = 0;");
   e.line("u64 done = 0;");
   e.line("int stop = 0;");
-  e.line("#pragma omp for schedule(dynamic, 64) nowait");
+  e.line("#pragma omp for schedule(dynamic, " +
+         std::to_string(support::kRootChunk) + ") nowait");
   e.open("for (long long v = 0; v < static_cast<long long>(g.n_vertices); "
          "++v)");
   e.open("if (stop == 0)");

@@ -23,10 +23,11 @@
 //     ForestExecutor model (minus its leaf memoization);
 //   * parallelism: the root-vertex loop is emitted as an OpenMP
 //     `parallel for` over a per-root entry function with one traversal
-//     state per worker and a per-plan reduction — the
-//     count_batch_parallel model — guarded by `#ifdef _OPENMP` so the
-//     same source still builds (serially) without -fopenmp. The thread
-//     count arrives through the ABI's KernelRunOptions.
+//     state per worker, dynamic chunks of support::kRootChunk roots
+//     and a per-plan reduction — the engine/parallel.h root loop —
+//     guarded by `#ifdef _OPENMP` so the same source still builds
+//     (serially) without -fopenmp. The thread count arrives through the
+//     ABI's KernelRunOptions.
 //
 // Emitted sources are self-contained C++17 translation units. They take
 // the data graph and, optionally, the host's runtime-dispatched set

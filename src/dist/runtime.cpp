@@ -833,9 +833,10 @@ class AsyncForestRun {
   }
 
  private:
-  /// Roots claimed from a node's cursor per grab: small enough to load-
-  /// balance a pool, large enough to amortize the atomic.
-  static constexpr std::size_t kRootChunk = 16;
+  /// Owned roots claimed from a node's cursor per grab: small enough to
+  /// load-balance a pool, large enough to amortize the atomic. The
+  /// in-memory OpenMP root schedule uses support::kRootChunk instead.
+  static constexpr std::size_t kOwnedRootsPerClaim = 16;
 
   struct Worker final : Shipper {
     Worker(AsyncForestRun& run, int node_idx)
@@ -942,9 +943,10 @@ class AsyncForestRun {
         const auto owned = run->sharded_->shard(node).owned();
         const std::size_t begin =
             run->root_cursors_[static_cast<std::size_t>(node)].fetch_add(
-                kRootChunk, std::memory_order_relaxed);
+                kOwnedRootsPerClaim, std::memory_order_relaxed);
         if (begin < owned.size()) {
-          const std::size_t end = std::min(begin + kRootChunk, owned.size());
+          const std::size_t end =
+              std::min(begin + kOwnedRootsPerClaim, owned.size());
           support::Timer timer;
           for (std::size_t i = begin; i < end; ++i) {
             walk.run_root(owned[i]);

@@ -93,7 +93,7 @@ class Matcher {
   Matcher(const Graph& graph, Configuration config);
 
   /// Counts embeddings. Uses the configuration's IEP plan when present,
-  /// otherwise plain enumeration. Single-threaded (see ParallelMatcher).
+  /// otherwise plain enumeration. Single-threaded (see count_parallel).
   [[nodiscard]] Count count() const;
   [[nodiscard]] Count count(Workspace& ws) const;
 

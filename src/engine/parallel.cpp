@@ -2,11 +2,9 @@
 
 #include <omp.h>
 
-#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "engine/forest.h"
@@ -20,10 +18,10 @@ namespace graphpi {
 namespace {
 
 /// Publishes one parallel run's scheduling stats into the metrics
-/// registry: task/chunk totals, the number of workers that claimed any
+/// registry: root/chunk totals, the number of workers that claimed any
 /// work, and (when metrics are enabled) a per-worker busy-time
 /// histogram whose spread exposes load imbalance.
-void flush_parallel_metrics(std::uint64_t tasks, std::uint64_t chunks,
+void flush_parallel_metrics(std::uint64_t roots,
                             std::span<const std::uint64_t> thread_tasks,
                             std::span<const double> thread_seconds) {
   using support::metrics::Counter;
@@ -34,8 +32,8 @@ void flush_parallel_metrics(std::uint64_t tasks, std::uint64_t chunks,
   static Counter& c_chunks = metric_counter("engine.parallel.chunks_claimed");
   static Counter& c_workers = metric_counter("engine.parallel.workers");
   c_runs.inc();
-  c_tasks.inc(tasks);
-  c_chunks.inc(chunks);
+  c_tasks.inc(roots);
+  c_chunks.inc((roots + support::kRootChunk - 1) / support::kRootChunk);
   std::uint64_t busy_workers = 0;
   auto& h_busy = metric_histogram("engine.parallel.worker_busy_ms");
   const bool observe = support::metrics::enabled();
@@ -47,64 +45,80 @@ void flush_parallel_metrics(std::uint64_t tasks, std::uint64_t chunks,
   c_workers.inc(busy_workers);
 }
 
-/// The task list: every valid prefix of `depth` schedule positions, stored
-/// flat (one contiguous array, `depth` slots per task) so generating a few
-/// million tasks performs O(1) allocations instead of one per task.
-/// enumerate_prefixes emits in lexicographic order, which the grouping
-/// below and the matcher's incremental prefix application both exploit.
-struct TaskBuffer {
-  std::vector<VertexId> flat;
-  int depth = 1;
+/// The one root-partitioned loop behind every entry point. Each
+/// worker of a `num_threads` team builds its state once with
+/// `make_worker()`, runs `visit(worker, v)` for every root v it claims
+/// (dynamic chunks of kRootChunk), then `merge(worker, roots)` once —
+/// merges run one worker at a time, so they may reduce into shared
+/// totals unsynchronized.
+///
+/// Cooperative stop (worksharing loops cannot break): workers count
+/// roots locally and flush to a shared tally only at poll-stride
+/// boundaries, where they also run the clock/flag/budget check; once a
+/// worker stops the run, every worker skips its remaining roots.
+template <typename MakeWorker, typename Visit, typename Merge>
+support::RunStatus drive_roots(VertexId n, const ParallelOptions& options,
+                               const support::ExecControl* control,
+                               ParallelRunStats* stats,
+                               support::RunReport* report,
+                               MakeWorker make_worker, Visit visit,
+                               Merge merge) {
+  const int team =
+      options.num_threads > 0 ? options.num_threads : omp_get_max_threads();
+  std::vector<std::uint64_t> thread_tasks(static_cast<std::size_t>(team), 0);
+  std::vector<double> thread_seconds(static_cast<std::size_t>(team), 0.0);
 
-  [[nodiscard]] std::size_t count() const {
-    return flat.size() / static_cast<std::size_t>(depth);
-  }
-  [[nodiscard]] std::span<const VertexId> task(std::size_t i) const {
-    return {flat.data() + i * static_cast<std::size_t>(depth),
-            static_cast<std::size_t>(depth)};
-  }
-};
+  const support::ExecControl* ctl =
+      control != nullptr && control->armed() ? control : nullptr;
+  const std::uint64_t mask = ctl != nullptr ? ctl->poll_mask() : 0;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> done_roots{0};
+  std::atomic<int> stop_status{static_cast<int>(support::RunStatus::kOk)};
 
-TaskBuffer generate_tasks(const Matcher& matcher, int depth) {
-  TaskBuffer tasks;
-  tasks.depth = depth;
-  Matcher::Workspace ws;
-  matcher.enumerate_prefixes(ws, depth, [&tasks](std::span<const VertexId> p) {
-    tasks.flat.insert(tasks.flat.end(), p.begin(), p.end());
-  });
-  return tasks;
-}
-
-/// Scheduling granule: a contiguous run of tasks sharing their depth-1
-/// prefix (the outermost loop vertex). A worker executes a whole group on
-/// one workspace, so the matcher's incremental apply_prefix re-validates
-/// only the positions that differ between consecutive tasks — the shared
-/// candidate intersections are built once per group instead of once per
-/// task. Groups are split at kMaxGroupTasks so one hub's run of tasks
-/// cannot starve the dynamic schedule.
-using TaskGroup = std::pair<std::size_t, std::size_t>;  // [begin, end)
-
-constexpr std::size_t kMaxGroupTasks = 64;
-
-std::vector<TaskGroup> group_tasks(const TaskBuffer& tasks) {
-  std::vector<TaskGroup> groups;
-  const std::size_t n = tasks.count();
-  std::size_t begin = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (tasks.task(i)[0] != tasks.task(begin)[0] ||
-        i - begin >= kMaxGroupTasks) {
-      groups.emplace_back(begin, i);
-      begin = i;
+#pragma omp parallel num_threads(team)
+  {
+    auto worker = make_worker();
+    const support::Timer timer;
+    std::uint64_t local_done = 0;
+#pragma omp for schedule(dynamic, support::kRootChunk)
+    for (std::int64_t v = 0; v < static_cast<std::int64_t>(n); ++v) {
+      if (ctl != nullptr && stop.load(std::memory_order_relaxed)) continue;
+      visit(worker, static_cast<VertexId>(v));
+      ++local_done;
+      if (ctl != nullptr && (local_done & mask) == 0) {
+        const std::uint64_t total =
+            done_roots.fetch_add(mask + 1, std::memory_order_relaxed) + mask +
+            1;
+        const support::RunStatus s = ctl->check(total);
+        if (s != support::RunStatus::kOk) {
+          int expected = static_cast<int>(support::RunStatus::kOk);
+          stop_status.compare_exchange_strong(expected, static_cast<int>(s));
+          stop.store(true, std::memory_order_relaxed);
+        }
+      }
     }
+    if (ctl != nullptr)  // flush the sub-stride remainder
+      done_roots.fetch_add(local_done & mask, std::memory_order_relaxed);
+    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
+    thread_tasks[tid] = local_done;
+    thread_seconds[tid] = timer.elapsed_seconds();
+#pragma omp critical(graphpi_parallel_merge)
+    merge(worker, local_done);
   }
-  if (n > begin) groups.emplace_back(begin, n);
-  return groups;
-}
 
-int clamp_task_depth(const Configuration& config, int requested) {
-  const int outer = config.iep.k > 0 ? config.pattern.size() - config.iep.k
-                                     : config.pattern.size();
-  return std::clamp(requested, 1, std::max(1, outer));
+  if (stats != nullptr) {
+    stats->tasks = n;
+    stats->per_thread_tasks = thread_tasks;
+    stats->per_thread_seconds = thread_seconds;
+  }
+  flush_parallel_metrics(n, thread_tasks, thread_seconds);
+  const auto status = static_cast<support::RunStatus>(stop_status.load());
+  support::observe_run_status(status);
+  if (report != nullptr) {
+    report->status = status;
+    report->completed_roots = ctl != nullptr ? done_roots.load() : n;
+  }
+  return status;
 }
 
 }  // namespace
@@ -115,75 +129,22 @@ Count count_parallel(const Graph& graph, const Configuration& config,
                      support::RunReport* report) {
   const support::trace::Span span("parallel.count");
   const Matcher matcher(graph, config);
-  const int depth = clamp_task_depth(config, options.task_depth);
-  const TaskBuffer tasks = generate_tasks(matcher, depth);
-  const std::vector<TaskGroup> groups = group_tasks(tasks);
-
-  if (options.num_threads > 0) omp_set_num_threads(options.num_threads);
-  const int max_threads = omp_get_max_threads();
-  std::vector<std::uint64_t> thread_tasks(
-      static_cast<std::size_t>(max_threads), 0);
-  std::vector<double> thread_seconds(static_cast<std::size_t>(max_threads),
-                                     0.0);
-
-  // Cooperative stop: OpenMP worksharing loops cannot break, so workers
-  // skip remaining groups once `stop` is set. Each group is <= 64 tasks,
-  // so one group is the natural poll stride.
-  const support::ExecControl* ctl =
-      control != nullptr && control->armed() ? control : nullptr;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> done_units{0};
-  std::atomic<int> stop_status{static_cast<int>(support::RunStatus::kOk)};
-
-  Count aggregated = 0;
-#pragma omp parallel default(none) \
-    shared(tasks, groups, matcher, thread_tasks, thread_seconds, stop, \
-               done_units, stop_status) \
-    firstprivate(ctl) reduction(+ : aggregated)
-  {
-    const int tid = omp_get_thread_num();
-    // One workspace per thread per run: every task executed by this thread
-    // reuses the same buffers (and the candidate sets of any prefix shared
-    // with the previous task) — steady state allocates nothing.
+  struct Worker {
     Matcher::Workspace ws;
-    support::Timer timer;
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (ctl != nullptr && stop.load(std::memory_order_relaxed)) continue;
-      for (std::size_t t = groups[g].first; t < groups[g].second; ++t)
-        aggregated += matcher.count_from_prefix(ws, tasks.task(t));
-      const std::uint64_t in_group = groups[g].second - groups[g].first;
-      thread_tasks[static_cast<std::size_t>(tid)] += in_group;
-      if (ctl != nullptr) {
-        const std::uint64_t total =
-            done_units.fetch_add(in_group, std::memory_order_relaxed) +
-            in_group;
-        const support::RunStatus s = ctl->check(total);
-        if (s != support::RunStatus::kOk) {
-          int expected = static_cast<int>(support::RunStatus::kOk);
-          stop_status.compare_exchange_strong(expected, static_cast<int>(s));
-          stop.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    thread_seconds[static_cast<std::size_t>(tid)] = timer.elapsed_seconds();
-    matcher.flush_metrics(ws, 0);  // IEP-term tally; tasks counted below
-  }
-
-  if (stats != nullptr) {
-    stats->tasks = tasks.count();
-    stats->task_groups = groups.size();
-    stats->per_thread_tasks = thread_tasks;
-    stats->per_thread_seconds = thread_seconds;
-  }
-  flush_parallel_metrics(tasks.count(), groups.size(), thread_tasks,
-                         thread_seconds);
-  const auto status = static_cast<support::RunStatus>(stop_status.load());
-  support::observe_run_status(status);
-  if (report != nullptr) {
-    report->status = status;
-    report->completed_roots = ctl != nullptr ? done_units.load() : tasks.count();
-  }
+    Count sum = 0;
+  };
+  Count aggregated = 0;
+  const support::RunStatus status = drive_roots(
+      graph.vertex_count(), options, control, stats, report,
+      [] { return Worker{}; },
+      [&matcher](Worker& w, VertexId v) {
+        w.sum += matcher.count_from_prefix(w.ws, {&v, 1});
+      },
+      [&](Worker& w, std::uint64_t) {
+        // IEP-term tally; drive_roots counts the roots.
+        matcher.flush_metrics(w.ws, 0);
+        aggregated += w.sum;
+      });
   if (status == support::RunStatus::kOk)
     return matcher.finalize_partial_counts(aggregated);
   // Partial IEP sums are generally not divisible by x: best-effort.
@@ -197,34 +158,27 @@ void enumerate_parallel(const Graph& graph, const Configuration& config,
   GRAPHPI_CHECK_MSG(config.iep.k == 0,
                     "IEP configurations cannot list embeddings");
   const Matcher matcher(graph, config);
-  const int depth = clamp_task_depth(config, options.task_depth);
-  const TaskBuffer tasks = generate_tasks(matcher, depth);
-  const std::vector<TaskGroup> groups = group_tasks(tasks);
-
-  if (options.num_threads > 0) omp_set_num_threads(options.num_threads);
-  std::mutex emit_mutex;
-
-  // Each worker re-runs the continuation of its prefix with a serialized
-  // callback. The per-group matcher work is independent; only emission is
-  // synchronized.
-#pragma omp parallel default(none) shared(tasks, groups, matcher, cb, emit_mutex)
-  {
+  struct Worker {
     Matcher::Workspace ws;
-    std::vector<std::vector<VertexId>> local;
-#pragma omp for schedule(dynamic, 1)
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      // Collect the group's embeddings locally, then emit under the lock.
-      local.clear();
-      for (std::size_t t = groups[g].first; t < groups[g].second; ++t) {
+    std::vector<VertexId> flat;  // one root's embeddings, back to back
+  };
+  const auto width = static_cast<std::size_t>(config.pattern.size());
+  std::mutex emit_mutex;
+  (void)drive_roots(
+      graph.vertex_count(), options, nullptr, nullptr, nullptr,
+      [] { return Worker{}; },
+      [&](Worker& w, VertexId v) {
+        w.flat.clear();
         matcher.enumerate_from_prefix(
-            ws, tasks.task(t), [&local](std::span<const VertexId> emb) {
-              local.emplace_back(emb.begin(), emb.end());
+            w.ws, {&v, 1}, [&w](std::span<const VertexId> emb) {
+              w.flat.insert(w.flat.end(), emb.begin(), emb.end());
             });
-      }
-      const std::scoped_lock lock(emit_mutex);
-      for (const auto& e : local) cb(e);
-    }
-  }
+        if (w.flat.empty()) return;
+        const std::scoped_lock lock(emit_mutex);
+        for (std::size_t i = 0; i < w.flat.size(); i += width)
+          cb({w.flat.data() + i, width});
+      },
+      [](Worker&, std::uint64_t) {});
 }
 
 std::vector<Count> count_batch_parallel(const Graph& graph,
@@ -237,89 +191,23 @@ std::vector<Count> count_batch_parallel(const Graph& graph,
   const ForestExecutor executor(graph, forest);
   GRAPHPI_CHECK_MSG(forest.root().count_leaves.empty(),
                     "count_batch_parallel requires plans with >= 2 vertices");
-
-  // One task per root vertex, claimed in chunks: consecutive vertices
-  // share nothing across tasks (the depth-0 loop is unconstrained), so
-  // the chunk size only amortizes scheduling overhead.
-  constexpr std::int64_t kChunk = 64;
-  const std::int64_t n = graph.vertex_count();
-
-  if (options.num_threads > 0) omp_set_num_threads(options.num_threads);
-  const int max_threads = omp_get_max_threads();
-  std::vector<std::uint64_t> thread_tasks(
-      static_cast<std::size_t>(max_threads), 0);
-  std::vector<double> thread_seconds(static_cast<std::size_t>(max_threads),
-                                     0.0);
-
-  // Cooperative stop (worksharing loops cannot break): workers count
-  // roots locally and flush to the shared tally only at stride
-  // boundaries, where they also run the clock/flag/budget check.
-  const support::ExecControl* ctl =
-      control != nullptr && control->armed() ? control : nullptr;
-  const std::uint64_t mask = ctl != nullptr ? ctl->poll_mask() : 0;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> done_roots{0};
-  std::atomic<int> stop_status{static_cast<int>(support::RunStatus::kOk)};
-
   std::vector<Count> aggregated(forest.plans().size(), 0);
-#pragma omp parallel default(none) \
-    shared(executor, aggregated, thread_tasks, thread_seconds, stop, \
-               done_roots, stop_status) \
-    firstprivate(n, ctl, mask)
-  {
-    const int tid = omp_get_thread_num();
-    // One workspace per thread per run: steady state allocates nothing.
-    ForestExecutor::Workspace ws;
-    executor.reset(ws);
-    support::Timer timer;
-    std::uint64_t local_done = 0;
-#pragma omp for schedule(dynamic, kChunk)
-    for (std::int64_t v = 0; v < n; ++v) {
-      if (ctl != nullptr && stop.load(std::memory_order_relaxed)) continue;
-      executor.accumulate_root(ws, static_cast<VertexId>(v));
-      ++thread_tasks[static_cast<std::size_t>(tid)];
-      if (ctl != nullptr) {
-        ++local_done;
-        if ((local_done & mask) == 0) {
-          const std::uint64_t total =
-              done_roots.fetch_add(mask + 1, std::memory_order_relaxed) +
-              mask + 1;
-          const support::RunStatus s = ctl->check(total);
-          if (s != support::RunStatus::kOk) {
-            int expected = static_cast<int>(support::RunStatus::kOk);
-            stop_status.compare_exchange_strong(expected, static_cast<int>(s));
-            stop.store(true, std::memory_order_relaxed);
-          }
-        }
-      }
-    }
-    if (ctl != nullptr)  // flush the sub-stride remainder
-      done_roots.fetch_add(local_done & mask, std::memory_order_relaxed);
-    thread_seconds[static_cast<std::size_t>(tid)] = timer.elapsed_seconds();
-    // Memo/IEP tallies plus this worker's completed roots.
-    executor.flush_metrics(ws, thread_tasks[static_cast<std::size_t>(tid)]);
-#pragma omp critical
-    for (std::size_t i = 0; i < aggregated.size(); ++i)
-      aggregated[i] += ws.sums[i];
-  }
-
-  if (stats != nullptr) {
-    stats->tasks = static_cast<std::uint64_t>(n);
-    stats->task_groups =
-        static_cast<std::uint64_t>((n + kChunk - 1) / kChunk);
-    stats->per_thread_tasks = thread_tasks;
-    stats->per_thread_seconds = thread_seconds;
-  }
-  flush_parallel_metrics(static_cast<std::uint64_t>(n),
-                         static_cast<std::uint64_t>((n + kChunk - 1) / kChunk),
-                         thread_tasks, thread_seconds);
-  const auto status = static_cast<support::RunStatus>(stop_status.load());
-  support::observe_run_status(status);
-  if (report != nullptr) {
-    report->status = status;
-    report->completed_roots =
-        ctl != nullptr ? done_roots.load() : static_cast<std::uint64_t>(n);
-  }
+  const support::RunStatus status = drive_roots(
+      graph.vertex_count(), options, control, stats, report,
+      [&executor] {
+        ForestExecutor::Workspace ws;
+        executor.reset(ws);
+        return ws;
+      },
+      [&executor](ForestExecutor::Workspace& ws, VertexId v) {
+        executor.accumulate_root(ws, v);
+      },
+      [&](ForestExecutor::Workspace& ws, std::uint64_t roots) {
+        // Memo/IEP tallies plus this worker's completed roots.
+        executor.flush_metrics(ws, roots);
+        for (std::size_t i = 0; i < aggregated.size(); ++i)
+          aggregated[i] += ws.sums[i];
+      });
   return status == support::RunStatus::kOk ? executor.finalize(aggregated)
                                            : executor.finalize_partial(aggregated);
 }

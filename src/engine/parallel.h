@@ -1,8 +1,14 @@
 // OpenMP parallel matching engine (the intra-node half of Section IV-E).
 //
-// Work is partitioned at the granularity of valid outer-loop prefixes —
-// the same fine-grained tasks the distributed master packs — and scheduled
-// dynamically so that power-law degree skew does not starve threads.
+// Every entry point runs on one root-partitioned loop: a task is one
+// depth-0 (root) vertex, and workers claim roots from a dynamic schedule
+// in chunks of support::kRootChunk so that power-law degree skew cannot
+// starve threads — the hubs of a degree-ordered graph hold the lowest
+// ids, so the first few roots carry most of the work. Each worker owns
+// one workspace for the whole run (steady state allocates nothing). The
+// team is sized per call by a `num_threads` clause; the process's OpenMP
+// default is never written. Generated kernels (codegen/codegen.h) emit
+// the same schedule with the same chunk.
 #pragma once
 
 #include <cstdint>
@@ -17,34 +23,30 @@
 namespace graphpi {
 
 struct ParallelOptions {
-  /// Schedule depth of one task (1 = outermost loop only; 2 = pairs, the
-  /// paper's example for the House pattern). Clamped to the number of
-  /// outer loops when IEP is active.
-  int task_depth = 1;
-  /// OpenMP threads; 0 = runtime default.
+  /// OpenMP threads for this call's team; 0 = runtime default.
   int num_threads = 0;
 };
 
 /// Per-run load statistics (consumed by the scalability analysis).
 struct ParallelRunStats {
+  /// Root vertices in the run's domain (|V|).
   std::uint64_t tasks = 0;
-  /// Scheduling granules: contiguous runs of tasks sharing their depth-1
-  /// prefix (capped in length). Workers claim whole groups so consecutive
-  /// tasks reuse the workspace's already-applied prefix intersections.
-  std::uint64_t task_groups = 0;
+  /// Roots each worker completed; sums to `tasks` unless a bounded run
+  /// stopped early.
   std::vector<std::uint64_t> per_thread_tasks;
   std::vector<double> per_thread_seconds;
 };
 
-/// Counts embeddings of `config` on `graph` using OpenMP. Exactly equal to
-/// Matcher::count() (asserted by tests).
+/// Counts embeddings of `config` on `graph` using OpenMP, running the
+/// Matcher once per root vertex (count_from_prefix on a 1-vertex
+/// prefix). Exactly equal to Matcher::count() (asserted by tests).
 ///
-/// An armed `control` is polled cooperatively by every worker once per
-/// claimed task group (groups are capped at 64 tasks, so the granularity
-/// matches the control's root-unit stride); on a stop the remaining
-/// groups are skipped and the partial sum is finalized without the IEP
-/// divisibility check. `report` receives the status and the number of
-/// completed task units.
+/// An armed `control` is polled per worker every poll-stride roots (a
+/// shared completed-root counter is flushed at stride boundaries, so the
+/// hot loop stays free of shared-cacheline traffic); on a stop workers
+/// skip their remaining roots and the partial sum is finalized without
+/// the IEP divisibility check. `report` receives the status and the
+/// number of completed roots.
 [[nodiscard]] Count count_parallel(const Graph& graph,
                                    const Configuration& config,
                                    const ParallelOptions& options = {},
@@ -52,26 +54,19 @@ struct ParallelRunStats {
                                    const support::ExecControl* control = nullptr,
                                    support::RunReport* report = nullptr);
 
-/// Lists embeddings in parallel; callback invocations are serialized with
-/// a critical section (listing throughput is bounded by the consumer
-/// anyway; counting uses count_parallel).
+/// Lists embeddings in parallel, root by root; each worker collects one
+/// root's embeddings locally and emits them under a lock (listing
+/// throughput is bounded by the consumer anyway; counting uses
+/// count_parallel).
 void enumerate_parallel(const Graph& graph, const Configuration& config,
                         const EmbeddingCallback& cb,
                         const ParallelOptions& options = {});
 
 /// Counts every plan of a prefix-sharing forest in one parallel traversal
-/// (engine/forest.h executes each worker's share). Work is partitioned by
-/// root vertex — the forest's depth-0 loop is always unconstrained — and
-/// scheduled dynamically in chunks so degree skew does not starve
-/// threads; `options.task_depth` does not apply. Every plan must have
+/// (engine/forest.h executes each worker's roots). Every plan must have
 /// >= 2 vertices. Returns finalized per-plan counts, indexed like
 /// forest.plans(); exactly equal to running each plan's Matcher alone
-/// (asserted by tests).
-/// An armed `control` is polled per worker every poll-stride roots (a
-/// shared completed-root counter is flushed at stride boundaries, so the
-/// hot loop stays free of shared-cacheline traffic); on a stop workers
-/// skip their remaining iterations and the partial sums are finalized
-/// without the IEP divisibility check.
+/// (asserted by tests). Bounded runs behave as in count_parallel.
 [[nodiscard]] std::vector<Count> count_batch_parallel(
     const Graph& graph, const PlanForest& forest,
     const ParallelOptions& options = {}, ParallelRunStats* stats = nullptr,

@@ -4,8 +4,7 @@
 // candidate-set cardinality l_i, the intersection work c_i and the
 // restriction filter rate f_i. The profiler measures the real quantities
 // so the model can be validated head-on (tests/engine/profile_test.cpp
-// checks prediction-vs-measurement correlation; bench/ablation_model_inputs
-// quantifies how much each statistic contributes).
+// checks prediction-vs-measurement correlation).
 //
 // This profiler is the *model-validation* instrument: exhaustive
 // per-loop counts from a dedicated instrumented run. For lightweight

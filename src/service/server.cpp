@@ -320,32 +320,29 @@ void Server::run_job(Job& job) {
       write_to(job.conn, error_response(req.id_json, plan_error));
       return;
     }
+    MatchOptions options;
+    options.backend = req.backend;
+    options.use_iep = req.use_iep;
+    options.threads = req.threads;
+    options.timeout_ms = req.timeout_ms;
+    options.work_budget = req.work_budget;
+    options.poll_stride = req.poll_stride;
+    options.cancel = &cancel_;
+    options.task_depth = config_.dist_task_depth;
+    options.dist_exec = config_.dist_exec;
+    options.dist_workers = config_.dist_workers;
     support::RunReport report;
     Count count = 0;
     const support::Timer timer;
     if (req.backend == Backend::kDistributed) {
-      support::ExecControl control;
-      if (req.timeout_ms > 0.0) control.arm_deadline_ms(req.timeout_ms);
-      control.set_cancel_flag(&cancel_);
-      if (req.work_budget != 0) control.set_root_budget(req.work_budget);
-      if (req.poll_stride != 0) control.set_poll_stride(req.poll_stride);
-      dist::ClusterOptions copt;
-      copt.task_depth = config_.dist_task_depth;
-      copt.exec = config_.dist_exec;
-      copt.workers_per_node = config_.dist_workers;
-      copt.control = &control;
-      count = dist::distributed_count_batch(*shards_, *entry->forest, copt,
+      // The graph is sharded once at start-up, so this path runs the
+      // forest on the resident shards instead of GraphPi::count.
+      const support::ExecControl control = make_control(options);
+      count = dist::distributed_count_batch(*shards_, *entry->forest,
+                                            cluster_options(options, &control),
                                             nullptr, &report)
                   .front();
     } else {
-      MatchOptions options;
-      options.backend = req.backend;
-      options.use_iep = req.use_iep;
-      options.threads = req.threads;
-      options.timeout_ms = req.timeout_ms;
-      options.work_budget = req.work_budget;
-      options.poll_stride = req.poll_stride;
-      options.cancel = &cancel_;
       count = engine_->count(entry->config, options, &report);
     }
     const double elapsed_ms = timer.elapsed_millis();

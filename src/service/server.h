@@ -16,10 +16,9 @@
 //     GraphPi engine. Plans are memoized per canonical pattern (the
 //     planner is deterministic, so one plan serves every isomorphic
 //     respelling); generated-backend kernels are reused across queries
-//     by the process-wide jit::KernelCache. Workers never apply
-//     MatchOptions::kernels overrides (the dispatch table is process-
-//     global); per-query deadlines/budgets ride the engine's
-//     ExecControl, and every query additionally observes the server's
+//     by the process-wide jit::KernelCache. Per-query deadlines/budgets
+//     map to an ExecControl through the same make_control as every
+//     GraphPi call, and every query additionally observes the server's
 //     shutdown cancel flag;
 //   * GET /metrics: a connection opening with an HTTP GET line gets a
 //     one-shot Prometheus text exposition of the process registry

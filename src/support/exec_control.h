@@ -25,6 +25,14 @@
 
 namespace graphpi::support {
 
+/// Root vertices a worker claims at a time from the shared dynamic
+/// schedule of every parallel root loop: the OpenMP engine
+/// (engine/parallel.h) and the generated kernels (codegen/codegen.h),
+/// which emit this value. Small on purpose: on a degree-ordered graph
+/// the hubs hold the lowest ids, so a large chunk hands one worker most
+/// of the run's work.
+inline constexpr std::int64_t kRootChunk = 4;
+
 /// Why a counting run returned.
 enum class RunStatus : std::uint8_t {
   kOk = 0,     ///< ran to completion; counts are exact
@@ -43,9 +51,7 @@ void observe_run_status(RunStatus status) noexcept;
 /// Outcome of one bounded counting call.
 struct RunReport {
   RunStatus status = RunStatus::kOk;
-  /// Root units fully processed before the run returned (root vertices
-  /// for the serial/batch/generated/distributed engines; prefix tasks
-  /// for count_parallel).
+  /// Root vertices fully processed before the run returned.
   std::uint64_t completed_roots = 0;
 
   [[nodiscard]] bool complete() const noexcept {

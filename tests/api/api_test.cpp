@@ -56,10 +56,8 @@ TEST(Api, PlanReportsDiagnostics) {
 TEST(Api, EmpiricalValidationAcceptsPlannedConfigs) {
   const Graph g = clustered_power_law(90, 400, 2.3, 0.4, 31);
   const GraphPi engine(g);
-  MatchOptions opt;
-  opt.empirical_validation = true;
   for (const auto& p : {patterns::house(), patterns::cycle_6_tri()})
-    EXPECT_NO_THROW((void)engine.count(p, opt)) << p.to_string();
+    EXPECT_TRUE(empirically_validate(engine.plan(p))) << p.to_string();
 }
 
 TEST(Api, FindAllMatchesCount) {

@@ -29,6 +29,7 @@
 #include "engine/jit.h"
 #include "graph/generators.h"
 #include "graph/vertex_set.h"
+#include "test_util.h"
 
 namespace graphpi {
 namespace {
@@ -107,10 +108,10 @@ TEST(Differential, AllBackendsAllIsasAgreeOnSeededRmat) {
     for (const auto& [name, p] : library) want.push_back(engine.count(p));
 
     for (const KernelIsa isa : selectable_isas()) {
+      const testing::IsaGuard guard(isa);
       for (const BackendArm& arm : backend_arms()) {
-        MatchOptions options = arm.options;
-        options.kernels = isa;
-        const std::vector<Count> got = engine.count_batch(patterns, options);
+        const std::vector<Count> got =
+            engine.count_batch(patterns, arm.options);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < library.size(); ++i) {
           EXPECT_EQ(got[i], want[i])

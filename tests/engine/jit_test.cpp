@@ -10,6 +10,7 @@
 #include "engine/jit.h"
 #include "graph/generators.h"
 #include "graph/vertex_set.h"
+#include "test_util.h"
 
 namespace graphpi {
 namespace {
@@ -85,12 +86,14 @@ TEST(KernelCache, ScalarDispatchReachesGeneratedKernels) {
   const GraphPi engine(g);
   const Count want = engine.count(patterns::house());
   const std::string before = active_isa();
-  // Per-call ISA override: the generated kernel calls back into the
-  // host's dispatched set kernels, so the selection applies to it too.
-  MatchOptions options = generated_backend();
-  options.kernels = KernelIsa::kScalar;
-  EXPECT_EQ(engine.count(patterns::house(), options), want);
-  // The override is scoped to the call.
+  {
+    // The generated kernel calls back into the host's dispatched set
+    // kernels, so the scalar selection applies to it too.
+    const testing::IsaGuard guard(KernelIsa::kScalar);
+    ASSERT_TRUE(guard.selected());
+    EXPECT_EQ(std::string(active_isa()), "scalar");
+    EXPECT_EQ(engine.count(patterns::house(), generated_backend()), want);
+  }
   EXPECT_EQ(std::string(active_isa()), before);
 }
 

@@ -17,6 +17,7 @@
 #include "graph/vertex_set.h"
 #include "io/snapshot.h"
 #include "support/rng.h"
+#include "test_util.h"
 
 namespace graphpi {
 namespace {
@@ -44,21 +45,6 @@ void write_file(const std::string& path,
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Pins the kernel table to `isa` for one scope, restoring the previous
-/// selection on exit.
-class IsaGuard {
- public:
-  explicit IsaGuard(KernelIsa isa) : previous_(active_kernel_isa()) {
-    selected_ = select_kernel_isa(isa);
-  }
-  ~IsaGuard() { select_kernel_isa(previous_); }
-  [[nodiscard]] bool selected() const noexcept { return selected_; }
-
- private:
-  KernelIsa previous_;
-  bool selected_;
-};
-
 TEST(VarintFuzz, EveryIsaMatchesTheScalarReference) {
   support::Xoshiro256StarStar rng(0xF00D);
   for (int trial = 0; trial < 50; ++trial) {
@@ -83,7 +69,7 @@ TEST(VarintFuzz, EveryIsaMatchesTheScalarReference) {
 
     for (const KernelIsa isa :
          {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-      const IsaGuard guard(isa);
+      const testing::IsaGuard guard(isa);
       if (!guard.selected()) continue;
       std::vector<std::uint32_t> got(count);
       EXPECT_EQ(varint_decode_u32(encoded, count, got.data()), encoded.size())
@@ -101,7 +87,7 @@ TEST(VarintFuzz, TruncationAndOverflowAreMalformed) {
   std::vector<std::uint32_t> out(3);
   for (const KernelIsa isa :
        {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
-    const IsaGuard guard(isa);
+    const testing::IsaGuard guard(isa);
     if (!guard.selected()) continue;
     // Every proper prefix that cuts a varint mid-byte-sequence fails.
     for (std::size_t len = 0; len < encoded.size(); ++len) {

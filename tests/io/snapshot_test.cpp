@@ -155,8 +155,8 @@ TEST(Snapshot, CountsMatchAcrossBackendsAndKernelIsas) {
   for (const KernelIsa isa :
        {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
     if (!cpu_supports(isa)) continue;
+    const testing::IsaGuard guard(isa);
     MatchOptions options;
-    options.kernels = isa;
     EXPECT_EQ(engine.count(pattern, options), expected)
         << "serial " << to_string(isa);
     options.backend = Backend::kParallel;

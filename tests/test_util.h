@@ -8,6 +8,7 @@
 #include "core/pattern_library.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/vertex_set.h"
 
 namespace graphpi::testing {
 
@@ -26,6 +27,23 @@ inline std::vector<Graph> small_test_graphs() {
   graphs.push_back(random_regular(50, 6, /*seed=*/5));
   return graphs;
 }
+
+/// Pins the process-wide kernel dispatch table to `isa` for one scope,
+/// restoring the previous selection on exit. The table is process
+/// state, so only single-threaded tests may use this.
+class IsaGuard {
+ public:
+  explicit IsaGuard(KernelIsa isa)
+      : previous_(active_kernel_isa()), selected_(select_kernel_isa(isa)) {}
+  ~IsaGuard() { select_kernel_isa(previous_); }
+  IsaGuard(const IsaGuard&) = delete;
+  IsaGuard& operator=(const IsaGuard&) = delete;
+  [[nodiscard]] bool selected() const noexcept { return selected_; }
+
+ private:
+  KernelIsa previous_;
+  bool selected_;
+};
 
 /// Patterns spanning the symmetry spectrum (|Aut| from 1 to 5040).
 inline std::vector<Pattern> assorted_patterns() {

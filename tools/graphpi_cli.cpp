@@ -106,11 +106,14 @@ pattern: triangle|rectangle|house|pentagon|hourglass|cycle6tri|
 (emit -> system compiler -> dlopen; falls back to the interpreter when no
 compiler is found). Generated kernels run their root loop in parallel;
 --threads caps the worker count for both the parallel and generated
-backends (default: all cores). --emit writes the generated C++ kernel for
-the planned configuration without requiring that backend.
+backends (default: all cores); both split the work by root vertex.
+--task-depth applies to the distributed backend only (--nodes): the
+schedule depth at which a node cuts its descent into tasks. --emit writes
+the generated C++ kernel for the planned configuration without requiring
+that backend.
 --timeout-ms / --budget bound the run (any backend): on expiry the count
 is a best-effort partial and a "status:" line reports why it stopped and
-how many root units completed. --fault-* inject seeded deterministic
+how many root vertices completed. --fault-* inject seeded deterministic
 faults into the distributed backend's channel (probability per message);
 the reliability layer recovers them, so counts are unchanged while the
 stats line reports the injected/recovered event tallies.
