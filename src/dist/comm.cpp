@@ -211,7 +211,35 @@ ReliableChannel::ReliableChannel(int nodes, const FaultPlan& faults,
       next_seq_(static_cast<std::size_t>(nodes) *
                     static_cast<std::size_t>(nodes),
                 0),
-      rt_(static_cast<std::size_t>(nodes)) {}
+      rt_(static_cast<std::size_t>(nodes)) {
+  for (NodeRt& rt : rt_) {
+    rt.unacked.resize(static_cast<std::size_t>(nodes));
+    rt.seen.resize(static_cast<std::size_t>(nodes));
+  }
+}
+
+// Advances the floor over every contiguous delivered seq; only
+// out-of-order arrivals touch the sparse set.
+bool ReliableChannel::SeenLink::first_arrival(std::uint32_t seq) {
+  if (seq == floor) {
+    ++floor;
+    while (!above.empty() && above.erase(floor) != 0) ++floor;
+    return true;
+  }
+  // Serial-number order, so the comparison survives seq wraparound.
+  if (static_cast<std::int32_t>(seq - floor) < 0) return false;
+  return above.insert(seq).second;
+}
+
+void ReliableChannel::track(NodeRt& rt, int to, std::uint32_t seq,
+                            MessageKind kind,
+                            const std::vector<std::uint8_t>& frame) {
+  const std::uint64_t now = now_.load(std::memory_order_relaxed);
+  rt.unacked[static_cast<std::size_t>(to)].push_back(
+      Unacked{seq, kind, false, frame, now + kRtoInitialTicks,
+              kRtoInitialTicks, 0});
+  ++rt.live_unacked;
+}
 
 void ReliableChannel::send(int from, int to, MessageKind kind,
                            std::vector<std::uint8_t> payload) {
@@ -225,9 +253,7 @@ void ReliableChannel::send(int from, int to, MessageKind kind,
   frame.insert(frame.end(), payload.begin(), payload.end());
   append_u32_le(frame, crc32(frame));
   rstats_.data_frames_sent.inc();
-  const std::uint64_t now = now_.load(std::memory_order_relaxed);
-  rt.unacked.push_back(Unacked{to, seq, kind, frame, now + kRtoInitialTicks,
-                               kRtoInitialTicks, 0});
+  track(rt, to, seq, kind, frame);
   channel_.send(from, to, kind, std::move(frame));
 }
 
@@ -256,13 +282,10 @@ void ReliableChannel::send_many(int from, int to, MessageKind kind,
     frame.insert(frame.end(), p.begin(), p.end());
   }
   append_u32_le(frame, crc32(frame));
-  const auto relaxed = std::memory_order_relaxed;
   rstats_.data_frames_sent.inc();
   rstats_.batch_frames_sent.inc();
   rstats_.batch_payloads.inc(payloads.size());
-  const std::uint64_t now = now_.load(relaxed);
-  rt.unacked.push_back(Unacked{to, seq, kind, frame, now + kRtoInitialTicks,
-                               kRtoInitialTicks, 0});
+  track(rt, to, seq, kind, frame);
   channel_.send(from, to, kind, std::move(frame));
   payloads.clear();
 }
@@ -275,23 +298,28 @@ void ReliableChannel::send_ack(int from, int to, std::uint32_t seq) {
   append_u32_le(frame, crc32(frame));
   rstats_.acks_sent.inc();
   // Fire-and-forget: a lost ack is recovered by the sender's retransmit,
-  // which the dedup set turns into a fresh ack.
+  // which the dedup floor turns into a fresh ack.
   channel_.send(from, to, MessageKind::kAck, std::move(frame));
 }
 
 bool ReliableChannel::receive(int node, Message& out) {
   NodeRt& rt = rt_[static_cast<std::size_t>(node)];
   std::lock_guard<std::mutex> lock(rt.mu);
-  return receive_locked(node, rt, out);
-}
-
-bool ReliableChannel::receive_locked(int node, NodeRt& rt, Message& out) {
   if (!rt.staged.empty()) {
     out = std::move(rt.staged.front());
     rt.staged.pop_front();
     return true;
   }
-  const auto relaxed = std::memory_order_relaxed;
+  // A frame popped below stays in flight until its ack is queued back
+  // (service_retransmits reads this flag), so raise it before the first
+  // pop and drop it only after the last ack.
+  rt.popping.store(true);
+  const bool got = pop_frames_locked(node, rt, out);
+  rt.popping.store(false);
+  return got;
+}
+
+bool ReliableChannel::pop_frames_locked(int node, NodeRt& rt, Message& out) {
   Message raw;
   while (channel_.receive(node, raw)) {
     std::uint8_t type = 0;
@@ -301,18 +329,19 @@ bool ReliableChannel::receive_locked(int node, NodeRt& rt, Message& out) {
       continue;  // sender's timer will resend
     }
     if (type == kFrameAck) {
-      for (auto it = rt.unacked.begin(); it != rt.unacked.end(); ++it) {
-        if (it->to == raw.from && it->seq == seq) {
-          rt.unacked.erase(it);
-          break;
-        }
-      }
+      // Slot `seq - front.seq` of the link's deque; an ack for a popped
+      // (or never-sent) seq falls outside it and is a stale duplicate.
+      auto& q = rt.unacked[static_cast<std::size_t>(raw.from)];
+      if (q.empty()) continue;
+      const std::uint32_t slot = seq - q.front().seq;
+      if (slot >= q.size() || q[slot].acked) continue;
+      q[slot].acked = true;
+      q[slot].frame = std::vector<std::uint8_t>();
+      --rt.live_unacked;
+      while (!q.empty() && q.front().acked) q.pop_front();
       continue;
     }
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(raw.from))
-            << 32 |
-        seq;
+    SeenLink& seen = rt.seen[static_cast<std::size_t>(raw.from)];
     if (type == kFrameBatch) {
       std::vector<std::vector<std::uint8_t>> payloads;
       if (!unpack_batch(raw.payload, payloads)) {
@@ -322,7 +351,7 @@ bool ReliableChannel::receive_locked(int node, NodeRt& rt, Message& out) {
         continue;
       }
       send_ack(node, raw.from, seq);
-      if (!rt.seen.insert(key).second) {
+      if (!seen.first_arrival(seq)) {
         rstats_.duplicates_suppressed.inc();
         continue;
       }
@@ -335,7 +364,7 @@ bool ReliableChannel::receive_locked(int node, NodeRt& rt, Message& out) {
     // Intact data frame: ack it even if it is a duplicate (the original
     // ack may have been lost), then dedup before delivering.
     send_ack(node, raw.from, seq);
-    if (!rt.seen.insert(key).second) {
+    if (!seen.first_arrival(seq)) {
       rstats_.duplicates_suppressed.inc();
       continue;
     }
@@ -364,34 +393,44 @@ bool ReliableChannel::receive_wait(int node, Message& out,
 }
 
 bool ReliableChannel::service_retransmits(int node) {
-  // Queue-aware RTO: a frame is only presumed lost once its due time has
-  // passed AND neither endpoint has traffic in flight — the data frame
-  // could still be queued at `to`, or its ack queued back here, when a
-  // receiver drains more slowly than senders produce. (A real transport
+  // Queue-aware RTO: a due frame is only presumed lost once it is out of
+  // flight (see the in-flight rule in comm.h) — not queued at `to`, not
+  // being popped there, and no ack queued back here. (A real transport
   // gets the same effect from an adaptive RTO; in this in-process
   // simulation queue depth is the honest congestion signal, and it keeps
-  // a fault-free channel retransmit-free no matter the backlog.)
-  // Pending acks land in this node's own inbox, so while it is non-empty
-  // every frame would be skipped below — skip the whole scan. The inbox
-  // reads are racy in async mode, which is benign: a stale "non-empty"
-  // delays the resend one idle loop, a stale "empty" resends a frame the
-  // receiver dedups.
+  // a fault-free channel retransmit-free no matter the backlog or the
+  // thread schedule.) Pending acks land in this node's own inbox, so
+  // while it is non-empty nothing is presumed lost — skip the scan.
   if (!channel_.inbox_empty(node)) return false;
   NodeRt& rt = rt_[static_cast<std::size_t>(node)];
   std::lock_guard<std::mutex> lock(rt.mu);
+  if (rt.live_unacked == 0) return false;
   const std::uint64_t now = now_.load(std::memory_order_relaxed);
   bool resent = false;
-  for (Unacked& u : rt.unacked) {
-    if (u.due > now) continue;
-    if (!channel_.inbox_empty(u.to)) continue;
-    ++u.retries;
-    GRAPHPI_CHECK_MSG(u.retries < kMaxRetries,
-                      "reliable channel livelocked: frame never acked");
-    rstats_.retransmits.inc();
-    u.rto = std::min(u.rto * 2, kRtoMaxTicks);
-    u.due = now + u.rto;
-    channel_.send(node, u.to, u.kind, u.frame);
-    resent = true;
+  for (int to = 0; to < channel_.nodes(); ++to) {
+    auto& q = rt.unacked[static_cast<std::size_t>(to)];
+    if (q.empty()) continue;
+    // Order matters. Only this node pops its own inbox, under the lock
+    // held here, so the inbox can only grow meanwhile. A frame `to` has
+    // popped was popped with `popping` raised; if the flag has dropped
+    // again, that receive's acks were queued here before it dropped —
+    // so reading the peer's inbox, then its flag, then this inbox last
+    // leaves no window in which an acked frame looks lost.
+    if (!channel_.inbox_empty(to) ||
+        rt_[static_cast<std::size_t>(to)].popping.load())
+      continue;
+    if (!channel_.inbox_empty(node)) break;
+    for (Unacked& u : q) {
+      if (u.acked || u.due > now) continue;
+      ++u.retries;
+      GRAPHPI_CHECK_MSG(u.retries < kMaxRetries,
+                        "reliable channel livelocked: frame never acked");
+      rstats_.retransmits.inc();
+      u.rto = std::min(u.rto * 2, kRtoMaxTicks);
+      u.due = now + u.rto;
+      channel_.send(node, to, u.kind, u.frame);
+      resent = true;
+    }
   }
   return resent;
 }
@@ -400,9 +439,17 @@ bool ReliableChannel::idle() const noexcept {
   if (!channel_.idle()) return false;
   for (const NodeRt& rt : rt_) {
     std::lock_guard<std::mutex> lock(rt.mu);
-    if (!rt.unacked.empty() || !rt.staged.empty()) return false;
+    if (rt.live_unacked != 0 || !rt.staged.empty()) return false;
   }
   return true;
+}
+
+std::size_t ReliableChannel::dedup_backlog(int node) const {
+  const NodeRt& rt = rt_[static_cast<std::size_t>(node)];
+  std::lock_guard<std::mutex> lock(rt.mu);
+  std::size_t held = 0;
+  for (const SeenLink& s : rt.seen) held += s.above.size();
+  return held;
 }
 
 // --------------------------------------------------------------------------

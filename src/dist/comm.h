@@ -14,7 +14,7 @@
 // executor runs one worker pool per node with the channel as the only
 // shared medium — inboxes are bounded MPMC queues, traffic counters are
 // atomic, and the reliability bookkeeping (sequence numbers, unacked
-// frames, dedup sets) is guarded per node. It can also MISBEHAVE like a
+// frames, dedup floors) is guarded per node. It can also MISBEHAVE like a
 // transport: a seeded, deterministic FaultPlan injects drops, duplicates,
 // reorders, and byte corruption per message kind, and the ReliableChannel
 // layered on top restores exactly-once delivery with CRC32-framed
@@ -227,16 +227,33 @@ struct ReliabilityStats {
 /// The receiver CRC-checks each frame, discards corrupt ones (the
 /// sender's retransmit timer recovers them), acks every intact data or
 /// batch frame — including duplicates, whose payloads are then
-/// suppressed by a per-link seen-set — and delivers the inner payloads
+/// suppressed by per-sender dedup — and delivers the inner payloads
 /// exactly once (a batch frame's payloads are staged and handed out one
 /// receive() at a time). The sender keeps unacked frames and resends
 /// them on a tick-driven timer with exponential backoff capped at
 /// kRtoMaxTicks. Any fault probability < 1 converges; a retry cap guards
 /// against livelock if a plan eats every copy.
 ///
+/// Bookkeeping is O(1) per frame. A sender keeps one deque of unacked
+/// frames per destination in seq order (seqs on a link are contiguous
+/// and assigned under the sender's lock): an ack indexes its slot at
+/// `seq - front.seq`, frees the frame bytes, and pops the acked prefix.
+/// A receiver keeps, per sender, a floor below which every seq was
+/// delivered plus a sparse set of the delivered seqs above it, so an
+/// in-order link never hashes and dedup memory is bounded by the reorder
+/// window, not by the run's traffic.
+///
+/// In-flight rule: a frame is in flight from its send until its ack is
+/// consumed — while it is queued at the receiver, while the receiver is
+/// popping and checking it (`popping`, set until every ack of that
+/// receive() is queued back), and while its ack is queued at the
+/// sender. Only a due frame that is in none of these states is presumed
+/// lost, so a fault-free channel never retransmits, however the threads
+/// of either endpoint are scheduled.
+///
 /// Thread safety: every per-node structure (sequence rows, unacked
-/// frames, dedup set, staged batch payloads) is guarded by that node's
-/// mutex; a node's operations take only its own lock plus (inside
+/// frames, dedup floors, staged batch payloads) is guarded by that
+/// node's mutex; a node's operations take only its own lock plus (inside
 /// Channel) the destination inbox lock, so lock order is always
 /// node → inbox and cross-node sends never deadlock.
 class ReliableChannel {
@@ -270,9 +287,9 @@ class ReliableChannel {
                                   std::chrono::nanoseconds timeout,
                                   const support::ExecControl* control);
 
-  /// Resends `node`'s due unacked frames — but only those whose
-  /// destination inbox AND own inbox are empty (queued frames are in
-  /// flight, not lost; a pending ack may be queued back here). True if
+  /// Resends `node`'s due unacked frames that are no longer in flight
+  /// (see the in-flight rule above): the destination's inbox is empty
+  /// and it is not mid-receive, and no ack is queued back here. True if
   /// anything was resent.
   bool service_retransmits(int node);
 
@@ -282,6 +299,10 @@ class ReliableChannel {
   /// True when no raw frames are queued, no batch payloads are staged,
   /// and every data frame is acked.
   [[nodiscard]] bool idle() const noexcept;
+
+  /// Seqs `node` holds above its per-sender dedup floors: nonzero only
+  /// while some link's arrivals are out of order.
+  [[nodiscard]] std::size_t dedup_backlog(int node) const;
 
   /// See Channel: the cooperative backpressure signal and close.
   [[nodiscard]] std::size_t inbox_size(int node) const noexcept {
@@ -311,21 +332,36 @@ class ReliableChannel {
 
  private:
   struct Unacked {
-    int to = -1;
     std::uint32_t seq = 0;
     MessageKind kind = MessageKind::kContinuation;
+    bool acked = false;  ///< acked behind the deque front; awaiting pop
     std::vector<std::uint8_t> frame;  ///< full framed bytes, ready to resend
     std::uint64_t due = 0;
     std::uint32_t rto = kRtoInitialTicks;
     std::uint32_t retries = 0;
   };
 
+  /// Receive-side dedup for one sender: every seq below `floor` was
+  /// delivered; `above` holds the delivered seqs past it.
+  struct SeenLink {
+    std::uint32_t floor = 0;
+    std::unordered_set<std::uint32_t> above;
+
+    /// Records `seq`; false if it was delivered before.
+    [[nodiscard]] bool first_arrival(std::uint32_t seq);
+  };
+
   /// Everything one node mutates concurrently, under one lock.
   struct NodeRt {
     mutable std::mutex mu;  ///< mutable: idle() is a const observer
-    std::vector<Unacked> unacked;            ///< frames this node sent
-    std::unordered_set<std::uint64_t> seen;  ///< (from<<32)|seq delivered here
+    /// Frames this node sent, per destination, in seq order.
+    std::vector<std::deque<Unacked>> unacked;
+    std::size_t live_unacked = 0;  ///< slots in `unacked` not yet acked
+    std::vector<SeenLink> seen;    ///< per sender
     std::deque<Message> staged;  ///< unpacked batch payloads awaiting receive
+    /// Set while a receive() pops raw frames, until their acks are
+    /// queued: read lock-free by peers deciding what is in flight.
+    std::atomic<bool> popping{false};
   };
 
   /// Protocol counters on the same metrics::Counter primitive (see
@@ -341,8 +377,11 @@ class ReliableChannel {
   };
 
   void send_ack(int from, int to, std::uint32_t seq);
-  /// Receive body with `node`'s lock already held.
-  [[nodiscard]] bool receive_locked(int node, NodeRt& rt, Message& out);
+  /// Records the unacked frame `seq` on rt's link to `to`, under rt.mu.
+  void track(NodeRt& rt, int to, std::uint32_t seq, MessageKind kind,
+             const std::vector<std::uint8_t>& frame);
+  /// Pops raw frames until one delivers, with `node`'s lock held.
+  [[nodiscard]] bool pop_frames_locked(int node, NodeRt& rt, Message& out);
   [[nodiscard]] std::size_t link(int from, int to) const noexcept {
     return static_cast<std::size_t>(from) *
                static_cast<std::size_t>(channel_.nodes()) +

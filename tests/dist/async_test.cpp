@@ -1,9 +1,10 @@
 // The asynchronous sharded runtime (ExecMode::kAsync): worker pools,
 // bounded mailboxes with cooperative backpressure, coalesced flushes.
 // Covers count equality vs the serial engine and lockstep, the
-// mode-independent shipped-continuation invariant, shard isolation under
-// poisoned non-resident adjacency, backpressure observability with a
-// one-frame mailbox, and bounded execution (expired deadline, pre-set
+// mode-independent shipped-continuation invariant, zero retransmits on a
+// fault-free channel however the workers are scheduled, shard isolation
+// under poisoned non-resident adjacency, backpressure observability with
+// a one-frame mailbox, and bounded execution (expired deadline, pre-set
 // cancel, root budget) through the multi-threaded executor.
 #include <gtest/gtest.h>
 
@@ -92,18 +93,40 @@ TEST(DistAsync, ShippedContinuationsMatchLockstep) {
   // Coalescing must actually compress the frame count.
   EXPECT_LT(as.continuation_messages, ls.continuation_messages);
   EXPECT_GT(as.coalesced_frames, 0u);
-  // The strict frame economy (one continuation frame per flush; every
-  // payload travels inside a batch frame or as a single-payload plain
-  // frame) holds exactly when nothing needed retransmitting — the normal
-  // fault-free case; a spurious RTO merely repeats frames.
-  if (ls.retransmits == 0)
-    EXPECT_EQ(ls.continuation_messages, ls.shipped_continuations);
-  if (as.retransmits == 0) {
-    EXPECT_EQ(as.flushes, as.continuation_messages);
-    EXPECT_EQ(as.coalesced_payloads +
-                  (as.continuation_messages - as.coalesced_frames),
-              as.shipped_continuations)
-        << "every shipped payload travels exactly once";
+  // A fault-free channel never retransmits, so the strict frame economy
+  // holds: one continuation frame per flush, and every payload travels
+  // inside a batch frame or as a single-payload plain frame, once.
+  EXPECT_EQ(ls.retransmits, 0u);
+  EXPECT_EQ(as.retransmits, 0u);
+  EXPECT_EQ(ls.continuation_messages, ls.shipped_continuations);
+  EXPECT_EQ(as.flushes, as.continuation_messages);
+  EXPECT_EQ(as.coalesced_payloads +
+                (as.continuation_messages - as.coalesced_frames),
+            as.shipped_continuations)
+      << "every shipped payload travels exactly once";
+}
+
+TEST(DistAsync, FaultFreeRunsNeverRetransmitUnderOversubscription) {
+  // Regression for a spurious retransmit: a receiver used to pop a frame
+  // and queue its ack only after the CRC check and unpack, and in that
+  // window both inboxes read empty, so a sender whose retransmit timer
+  // had run out resent a frame that was never lost. 4 nodes x 2 workers
+  // oversubscribe a 4-core box, and flushing only when a worker runs out
+  // of local work makes few, large batch frames whose CRC and unpack
+  // hold that window open; with it open, nearly every run retransmitted.
+  const Graph g = rmat(7, 650, 103);
+  const GraphPi engine(g);
+  const Configuration config = engine.plan(patterns::pentagon());
+  const Count expected = Matcher(g, config).count();
+  ClusterOptions options = async_options(4, 2);
+  options.flush_payloads = 1 << 12;
+  options.flush_bytes = 1 << 24;
+  for (int run = 0; run < 20; ++run) {
+    ClusterStats stats;
+    ASSERT_EQ(dist::distributed_count(g, config, options, &stats), expected)
+        << "run " << run;
+    ASSERT_GT(stats.coalesced_frames, 0u);
+    ASSERT_EQ(stats.retransmits, 0u) << "run " << run;
   }
 }
 

@@ -5,12 +5,16 @@
 //    other well-formed message, which the frame CRC screens out first),
 //  * Channel fault accounting and idle() consistency under drop/duplicate,
 //  * ReliableChannel exactly-once delivery under heavy injected faults,
+//  * its O(1) bookkeeping: a 20,000-frame backlog on one link, acks for
+//    frames behind the unacked front, the per-sender dedup floor, and no
+//    retransmit of a frame the receiver is still processing,
 //  * the sharded runtime producing bit-identical counts under a nonzero
 //    FaultPlan, with the recovery counters surfaced through ClusterStats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -255,6 +259,113 @@ TEST(ReliableChannel, FaultFreePassThrough) {
   EXPECT_EQ(channel.reliability_stats().corrupt_frames_detected, 0u);
 }
 
+TEST(ReliableChannel, TwentyThousandFramesInFlightOnOneLink) {
+  // Every frame is sent before the receiver drains any. Each payload is
+  // delivered once and in order, the backlog is never presumed lost, and
+  // idle() holds off until the very last ack is consumed.
+  ReliableChannel channel(2);
+  constexpr std::uint32_t kFrames = 20000;
+  constexpr std::uint32_t kBulk = kFrames / 2;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    WireWriter w;
+    w.u32(i);
+    channel.send(0, 1, MessageKind::kContinuation, w.take());
+  }
+  Message msg;
+  auto deliver_next = [&](std::uint32_t want) {
+    ASSERT_TRUE(channel.receive(1, msg)) << "payload " << want;
+    WireReader r(msg.payload);
+    EXPECT_EQ(r.u32(), want);
+    EXPECT_TRUE(r.done());
+  };
+  // First half: acks pile up at the sender while the retransmit clock
+  // runs far past every frame's timeout.
+  for (std::uint32_t i = 0; i < kBulk; ++i) {
+    channel.tick();
+    ASSERT_FALSE(channel.service_retransmits(0)) << "frame " << i;
+    deliver_next(i);
+  }
+  EXPECT_FALSE(channel.idle());
+  EXPECT_FALSE(channel.receive(0, msg));  // consumes kBulk acks at once
+  EXPECT_FALSE(channel.idle()) << kFrames - kBulk << " frames still unacked";
+  // Second half: one delivery, one ack consumed, step by step.
+  for (std::uint32_t i = kBulk; i < kFrames; ++i) {
+    channel.tick();
+    ASSERT_FALSE(channel.service_retransmits(0)) << "frame " << i;
+    deliver_next(i);
+    ASSERT_FALSE(channel.idle()) << "ack " << i << " still queued";
+    EXPECT_FALSE(channel.receive(0, msg));
+    ASSERT_EQ(channel.idle(), i + 1 == kFrames) << "after ack " << i;
+  }
+  EXPECT_FALSE(channel.receive(1, msg));
+  const ReliabilityStats rel = channel.reliability_stats();
+  EXPECT_EQ(rel.retransmits, 0u);
+  EXPECT_EQ(rel.acks_sent, kFrames);
+  EXPECT_EQ(rel.duplicates_suppressed, 0u);
+  EXPECT_EQ(channel.dedup_backlog(1), 0u);
+}
+
+TEST(ReliableChannel, AcksBehindTheUnackedFrontAreHandled) {
+  // Only acks are reordered: each one after the first jumps the sender's
+  // queue, so the sender meets them newest first — every ack but the
+  // last is for a frame behind the front of its unacked deque.
+  FaultPlan plan;
+  plan.kind[static_cast<std::size_t>(MessageKind::kAck)].reorder = 1.0;
+  ReliableChannel channel(2, plan);
+  constexpr std::uint32_t kFrames = 64;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    WireWriter w;
+    w.u32(i);
+    channel.send(0, 1, MessageKind::kContinuation, w.take());
+  }
+  Message msg;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(channel.receive(1, msg));
+    WireReader r(msg.payload);
+    EXPECT_EQ(r.u32(), i);  // data frames are not reordered
+  }
+  EXPECT_EQ(channel.transport_stats().injected_reorders, kFrames - 1);
+  EXPECT_FALSE(channel.idle());
+  EXPECT_FALSE(channel.receive(0, msg));
+  EXPECT_TRUE(channel.idle());
+  EXPECT_EQ(channel.reliability_stats().retransmits, 0u);
+}
+
+TEST(ReliableChannel, DedupFloorSuppressesOldSeqsAndCatchesUp) {
+  // Every data frame is duplicated, and each original jumps the queue, so
+  // the receiver meets originals newest first and then every duplicate
+  // in seq order: [o63 .. o1, o0, d0, d1 .. d63]. Originals above the
+  // floor wait in the sparse set until o0 lets the floor catch up; then
+  // every duplicate is below the floor and suppressed.
+  FaultPlan plan;
+  FaultPlan::Rates& data =
+      plan.kind[static_cast<std::size_t>(MessageKind::kContinuation)];
+  data.duplicate = 1.0;
+  data.reorder = 1.0;
+  ReliableChannel channel(2, plan);
+  constexpr std::uint32_t kFrames = 64;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    WireWriter w;
+    w.u32(i);
+    channel.send(0, 1, MessageKind::kContinuation, w.take());
+  }
+  Message msg;
+  for (std::uint32_t k = 0; k < kFrames; ++k) {
+    EXPECT_EQ(channel.dedup_backlog(1), k);
+    ASSERT_TRUE(channel.receive(1, msg));
+    WireReader r(msg.payload);
+    EXPECT_EQ(r.u32(), kFrames - 1 - k);
+  }
+  EXPECT_EQ(channel.dedup_backlog(1), 0u) << "o0 let the floor catch up";
+  EXPECT_FALSE(channel.receive(1, msg)) << "every duplicate is suppressed";
+  const ReliabilityStats rel = channel.reliability_stats();
+  EXPECT_EQ(rel.duplicates_suppressed, kFrames);
+  EXPECT_EQ(rel.acks_sent, 2 * kFrames);  // duplicates are re-acked
+  EXPECT_FALSE(channel.receive(0, msg));  // duplicate acks are stale
+  EXPECT_TRUE(channel.idle());
+  EXPECT_EQ(channel.reliability_stats().retransmits, 0u);
+}
+
 TEST(DistributedFaults, CountsBitIdenticalUnderInjectedFaults) {
   // The acceptance shape: a 3-node sharded run under a seeded fault plan
   // with drop, duplicate, and corrupt all nonzero produces EXACTLY the
@@ -386,6 +497,43 @@ TEST(ReliableChannelThreading, ExactlyOnceWithConcurrentEndpoints) {
       EXPECT_EQ(copies, 1) << "node " << node << " payload " << id;
   }
   EXPECT_TRUE(channel.idle());
+}
+
+TEST(ReliableChannelThreading, FrameBeingReceivedIsNotPresumedLost) {
+  // A receiver queues a frame's ack only after popping it, checking its
+  // CRC and unpacking it; in that window the frame is in neither inbox,
+  // yet it is in flight, not lost. A sender servicing its retransmit
+  // timer flat out on another thread must not resend it. 1 MB batch
+  // frames stretch the window to about a millisecond, so the timer
+  // passes its timeout inside the window on nearly every frame.
+  ReliableChannel channel(2);
+  constexpr int kFrames = 8;
+  constexpr std::size_t kPayloads = 64;
+  std::atomic<bool> stop{false};
+  std::thread timer([&] {
+    while (!stop.load()) {
+      channel.tick();
+      (void)channel.service_retransmits(0);
+    }
+  });
+  Message msg;
+  for (int f = 0; f < kFrames; ++f) {
+    std::vector<std::vector<std::uint8_t>> payloads(
+        kPayloads,
+        std::vector<std::uint8_t>(16 << 10, static_cast<std::uint8_t>(f)));
+    channel.send_many(0, 1, MessageKind::kContinuation, payloads);
+    std::size_t got = 0;
+    while (got < kPayloads)
+      if (channel.receive(1, msg)) ++got;
+    while (!channel.idle()) {
+      (void)channel.receive(1, msg);
+      (void)channel.receive(0, msg);
+    }
+  }
+  stop.store(true);
+  timer.join();
+  EXPECT_EQ(channel.reliability_stats().retransmits, 0u);
+  EXPECT_EQ(channel.reliability_stats().duplicates_suppressed, 0u);
 }
 
 TEST(DistributedFaults, AsyncCountsBitIdenticalUnderInjectedFaults) {

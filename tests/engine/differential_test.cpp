@@ -3,8 +3,9 @@
 // One reference (the per-pattern serial Matcher under default dispatch),
 // everything else measured against it bit-for-bit: seeded R-MAT graphs ×
 // the full named pattern library × every execution backend {serial,
-// parallel, generated, distributed} × every kernel table the executing
-// CPU can select {scalar, AVX2, AVX-512 when detected}. Counting is
+// parallel, generated, distributed lockstep, distributed async with two
+// workers per node} × every kernel table the executing CPU can select
+// {scalar, AVX2, AVX-512 when detected}. Counting is
 // integer-exact in every engine, so any divergence — a vector kernel
 // miscounting a block boundary, a generated kernel mistranslating a
 // restriction window, a shard dropping a boundary continuation, an IEP
@@ -81,6 +82,12 @@ std::vector<BackendArm> backend_arms() {
   distributed.options.backend = Backend::kDistributed;
   distributed.options.nodes = 3;
   arms.push_back(distributed);
+  BackendArm async{"distributed-async", {}};
+  async.options.backend = Backend::kDistributed;
+  async.options.nodes = 3;
+  async.options.dist_exec = dist::ExecMode::kAsync;
+  async.options.dist_workers = 2;
+  arms.push_back(async);
   return arms;
 }
 
@@ -163,7 +170,7 @@ TEST(Differential, SnapshotRoundTripBitIdenticalOnEveryBackend) {
   // The snapshot arm: degree-reorder + save + mmap-load (io/snapshot.h)
   // must be invisible to counting. Reference = the library counted on
   // the graph as built; comparand = the same library on the
-  // reordered-saved-loaded graph, across all four backends under default
+  // reordered-saved-loaded graph, across every backend arm under default
   // dispatch (the ISA × decode cross-product lives in tests/io/).
   const auto library = full_library();
   std::vector<Pattern> patterns;
