@@ -78,6 +78,8 @@ Configuration GraphPi::plan(const Pattern& pattern,
 
 Count GraphPi::count(const Pattern& pattern, const MatchOptions& options,
                      support::RunReport* report) const {
+  // Installed here too, so the per-query sink also records the planner.
+  const support::trace::ScopedSink sink(options.trace_sink);
   return count(plan(pattern, options), options, report);
 }
 

@@ -46,6 +46,10 @@ struct PlanningStats {
   std::size_t schedules_efficient = 0;  ///< surviving both phases
   std::size_t restriction_sets = 0;     ///< Algorithm 1 output size
   std::size_t configurations_evaluated = 0;
+  /// Distinct outer restriction sets whose IEP admissibility was decided
+  /// (0 without IEP): each is validated once per run, however many
+  /// scored combinations share it.
+  std::size_t iep_validations = 0;
   double planning_seconds = 0.0;
 };
 

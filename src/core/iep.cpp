@@ -70,6 +70,14 @@ std::vector<std::vector<int>> components_of_pairs(
 IepPlan build_iep_plan(const Pattern& pattern, const Schedule& schedule,
                        const RestrictionSet& restrictions, int k,
                        bool aggregate_partitions) {
+  return build_iep_plan(pattern, schedule, restrictions, k,
+                        automorphisms(pattern), aggregate_partitions);
+}
+
+IepPlan build_iep_plan(const Pattern& pattern, const Schedule& schedule,
+                       const RestrictionSet& restrictions, int k,
+                       const std::vector<Permutation>& aut,
+                       bool aggregate_partitions) {
   const int n = pattern.size();
   GRAPHPI_CHECK(schedule.size() == n);
   GRAPHPI_CHECK_MSG(k >= 1 && k <= n, "IEP suffix length out of range");
@@ -94,9 +102,8 @@ IepPlan build_iep_plan(const Pattern& pattern, const Schedule& schedule,
   // see tests/engine/iep_test.cpp.
   std::uint64_t factorial = 1;
   for (int i = 2; i <= n; ++i) factorial *= static_cast<std::uint64_t>(i);
-  const std::uint64_t aut = automorphism_count(pattern);
   const std::uint64_t numerator =
-      linear_extension_count(n, plan.outer_restrictions) * aut;
+      linear_extension_count(n, plan.outer_restrictions) * aut.size();
   if (numerator % factorial == 0 && numerator > 0) {
     plan.divisor = numerator / factorial;
   } else {
@@ -143,18 +150,13 @@ IepPlan build_iep_plan(const Pattern& pattern, const Schedule& schedule,
 
 namespace {
 
-/// Lehmer index of the rank array p[0..n) (a permutation of {0..n-1});
-/// bijective into [0, n!).
-std::size_t lehmer_index(const int* p, int n) {
-  std::size_t idx = 0;
-  for (int i = 0; i < n; ++i) {
-    int smaller = 0;
-    for (int j = i + 1; j < n; ++j)
-      if (p[j] < p[i]) ++smaller;
-    idx = idx * static_cast<std::size_t>(n - i) +
-          static_cast<std::size_t>(smaller);
-  }
-  return idx;
+/// Rank array p[0..n) packed 3 bits per entry: injective on
+/// permutations of {0..n-1} for n <= 8, and O(n) to compute.
+std::uint32_t packed_ranks(const int* p, int n) {
+  std::uint32_t key = 0;
+  for (int i = 0; i < n; ++i)
+    key |= static_cast<std::uint32_t>(p[i]) << (3 * i);
+  return key;
 }
 
 /// The per-embedding overcount of IEP enumeration is a function of how
@@ -173,39 +175,34 @@ std::size_t lehmer_index(const int* p, int n) {
 /// sums not divisible by 3. c is constant on the left cosets π∘Aut, so
 /// one evaluation per coset suffices: total work n! · (|outer| + n),
 /// bounded by Pattern::kMaxVertices = 8 → at most 40320 orders (the
-/// `seen` bitmap tops out at ~40 KB).
-bool divisor_is_order_uniform(const Pattern& pattern, const IepPlan& plan) {
+/// `seen` bitmap over packed rank arrays tops out at 2 MB).
+bool divisor_is_order_uniform(const Pattern& pattern, const IepPlan& plan,
+                              const std::vector<Permutation>& aut) {
   const int n = pattern.size();
   static_assert(Pattern::kMaxVertices <= 8,
                 "the n! order sweep assumes small patterns");
-  const std::vector<Permutation> aut = automorphisms(pattern);
-  std::size_t factorial = 1;
-  for (int i = 2; i <= n; ++i) factorial *= static_cast<std::size_t>(i);
-  std::vector<bool> seen(factorial, false);
-  std::vector<int> rank(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) rank[static_cast<std::size_t>(i)] = i;
-  std::vector<int> composed(static_cast<std::size_t>(n));
+  std::vector<bool> seen(std::size_t{1} << (3 * n), false);
+  int rank[Pattern::kMaxVertices];
+  for (int i = 0; i < n; ++i) rank[i] = i;
+  int composed[Pattern::kMaxVertices];
   do {
-    if (seen[lehmer_index(rank.data(), n)]) continue;
+    if (seen[packed_ranks(rank, n)]) continue;
     std::uint64_t compatible = 0;
     for (const Permutation& sigma : aut) {
       bool ok = true;
       for (const auto& r : plan.outer_restrictions) {
-        if (rank[static_cast<std::size_t>(sigma(r.greater))] <=
-            rank[static_cast<std::size_t>(sigma(r.smaller))]) {
+        if (rank[sigma(r.greater)] <= rank[sigma(r.smaller)]) {
           ok = false;
           break;
         }
       }
       if (ok) ++compatible;
       // Mark the whole coset π∘Aut visited: c is constant on it.
-      for (int v = 0; v < n; ++v)
-        composed[static_cast<std::size_t>(v)] =
-            rank[static_cast<std::size_t>(sigma(v))];
-      seen[lehmer_index(composed.data(), n)] = true;
+      for (int v = 0; v < n; ++v) composed[v] = rank[sigma(v)];
+      seen[packed_ranks(composed, n)] = true;
     }
     if (compatible != plan.divisor) return false;
-  } while (std::next_permutation(rank.begin(), rank.end()));
+  } while (std::next_permutation(rank, rank + n));
   return true;
 }
 
@@ -213,25 +210,29 @@ bool divisor_is_order_uniform(const Pattern& pattern, const IepPlan& plan) {
 
 bool validate_iep_plan(const Pattern& pattern, const Schedule& schedule,
                        const IepPlan& plan) {
+  (void)schedule;
+  return validate_iep_plan(pattern, plan, automorphisms(pattern));
+}
+
+bool validate_iep_plan(const Pattern& pattern, const IepPlan& plan,
+                       const std::vector<Permutation>& aut) {
   const int n = pattern.size();
   if (plan.divisor == 0) return false;
   // On K_n every injective assignment to the outer n-k positions extends
   // to exactly k! IEP tuples, so ansIEP equals the number of full
   // permutations compatible with the outer restrictions (each outer
   // arrangement appears k! times among them). See header for derivation.
-  (void)schedule;
   const std::uint64_t ans_iep =
       linear_extension_count(n, plan.outer_restrictions);
   std::uint64_t factorial = 1;
   for (int i = 2; i <= n; ++i) factorial *= static_cast<std::uint64_t>(i);
-  const std::uint64_t aut = automorphism_count(pattern);
-  if (factorial % aut != 0) return false;
-  const std::uint64_t truth = factorial / aut;
+  if (factorial % aut.size() != 0) return false;
+  const std::uint64_t truth = factorial / aut.size();
   if (ans_iep != plan.divisor * truth) return false;
   // The K_n identity fixes only the AVERAGE per-embedding overcount; the
   // division is sound only when the factor is the same for every
   // realizable id ordering (the latent cycle(6) bug — see the helper).
-  return divisor_is_order_uniform(pattern, plan);
+  return divisor_is_order_uniform(pattern, plan, aut);
 }
 
 }  // namespace graphpi

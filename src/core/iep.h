@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/pattern.h"
+#include "core/permutation.h"
 #include "core/restriction.h"
 #include "core/schedule.h"
 
@@ -90,5 +91,21 @@ struct IepPlan {
 [[nodiscard]] bool validate_iep_plan(const Pattern& pattern,
                                      const Schedule& schedule,
                                      const IepPlan& plan);
+
+/// The two steps above with `aut` = automorphisms(pattern) supplied by the
+/// caller, so a planner that scores thousands of combinations enumerates
+/// Aut(P) once. The verdict of validate_iep_plan depends only on the
+/// pattern, `plan.outer_restrictions` (as a set) and `plan.divisor`, and
+/// build_iep_plan's divisor only on the outer set: the planner memoizes
+/// both per outer restriction set.
+[[nodiscard]] IepPlan build_iep_plan(const Pattern& pattern,
+                                     const Schedule& schedule,
+                                     const RestrictionSet& restrictions,
+                                     int k,
+                                     const std::vector<Permutation>& aut,
+                                     bool aggregate_partitions = true);
+[[nodiscard]] bool validate_iep_plan(const Pattern& pattern,
+                                     const IepPlan& plan,
+                                     const std::vector<Permutation>& aut);
 
 }  // namespace graphpi

@@ -1,8 +1,9 @@
 #include "core/perf_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numeric>
+#include <cstdint>
 
 #include "support/check.h"
 
@@ -20,9 +21,14 @@ double GraphStats::expected_cardinality(int m) const noexcept {
   return vertices * p1() * std::pow(p2(), m - 1);
 }
 
-std::vector<double> filter_probabilities(const Pattern& pattern,
-                                         const Schedule& schedule,
-                                         const RestrictionSet& restrictions) {
+namespace {
+
+/// filter_probabilities into f[0..n), without touching the heap (the
+/// planner scores tens of thousands of configurations per pattern).
+void fill_filter_probabilities(const Pattern& pattern,
+                               const Schedule& schedule,
+                               const RestrictionSet& restrictions,
+                               double* f) {
   const int n = pattern.size();
   GRAPHPI_CHECK(schedule.size() == n);
 
@@ -40,46 +46,45 @@ std::vector<double> filter_probabilities(const Pattern& pattern,
                     schedule.depth_of(r.smaller));
   };
 
-  std::vector<std::uint64_t> entering(static_cast<std::size_t>(n) + 1, 0);
-  RestrictionSet prefix;
+  std::uint64_t entering[Pattern::kMaxVertices + 1];
+  std::uint32_t must_precede[Pattern::kMaxVertices] = {};
   for (int d = 0; d <= n; ++d) {
+    bool grew = d == 0;
     if (d > 0)
       for (const auto& r : restrictions)
-        if (check_depth(r) == d - 1) prefix.push_back(r);
-    entering[static_cast<std::size_t>(d)] =
-        linear_extension_count(n, prefix);
+        if (check_depth(r) == d - 1) {
+          must_precede[r.greater] |= 1u << r.smaller;
+          grew = true;
+        }
+    entering[d] = grew ? linear_extension_count_by_mask(n, must_precede)
+                       : entering[d - 1];
   }
 
-  std::vector<double> f(static_cast<std::size_t>(n), 0.0);
   for (int d = 0; d < n; ++d) {
-    const std::uint64_t in = entering[static_cast<std::size_t>(d)];
-    const std::uint64_t out = entering[static_cast<std::size_t>(d) + 1];
-    if (in > 0)
-      f[static_cast<std::size_t>(d)] =
-          1.0 - static_cast<double>(out) / static_cast<double>(in);
+    const std::uint64_t in = entering[d];
+    const std::uint64_t out = entering[d + 1];
+    f[d] = in > 0 ? 1.0 - static_cast<double>(out) / static_cast<double>(in)
+                  : 0.0;
   }
-  return f;
 }
 
-CostBreakdown predict_cost(const Pattern& pattern, const Schedule& schedule,
-                           const RestrictionSet& restrictions,
-                           const GraphStats& stats,
-                           const PerfModelOptions& options) {
+/// predict_cost into caller-provided arrays of n entries each; returns
+/// the total.
+double fill_cost(const Pattern& pattern, const Schedule& schedule,
+                 const RestrictionSet& restrictions, const GraphStats& stats,
+                 const PerfModelOptions& options, double* loop_size,
+                 double* intersection_cost, double* filter_probability) {
   const int n = pattern.size();
   GRAPHPI_CHECK(schedule.size() == n);
-
-  CostBreakdown out;
-  out.loop_size.resize(static_cast<std::size_t>(n));
-  out.intersection_cost.resize(static_cast<std::size_t>(n));
-  out.filter_probability =
-      filter_probabilities(pattern, schedule, restrictions);
+  fill_filter_probabilities(pattern, schedule, restrictions,
+                            filter_probability);
 
   const double avg_deg = stats.average_degree();
   std::uint32_t placed = 0;
   for (int d = 0; d < n; ++d) {
     const int v = schedule.vertex_at(d);
     const int m = std::popcount(pattern.neighbor_mask(v) & placed);
-    out.loop_size[static_cast<std::size_t>(d)] = stats.expected_cardinality(m);
+    loop_size[d] = stats.expected_cardinality(m);
 
     // Expected cost of materializing the candidate set: a left-to-right
     // chain of sorted intersections, each costing the sum of its two input
@@ -92,7 +97,7 @@ CostBreakdown predict_cost(const Pattern& pattern, const Schedule& schedule,
         running = stats.expected_cardinality(j);
       }
     }
-    out.intersection_cost[static_cast<std::size_t>(d)] = c;
+    intersection_cost[d] = c;
     placed |= 1u << v;
   }
 
@@ -101,18 +106,40 @@ CostBreakdown predict_cost(const Pattern& pattern, const Schedule& schedule,
   // loop i (no hoisting), so that intersection's cost is attributed there.
   double cost = 0.0;
   for (int d = n - 1; d >= 0; --d) {
-    const double l = out.loop_size[static_cast<std::size_t>(d)];
-    const double keep =
-        1.0 - out.filter_probability[static_cast<std::size_t>(d)];
+    const double l = loop_size[d];
+    const double keep = 1.0 - filter_probability[d];
     if (d == n - 1) {
       cost = l * keep;
     } else {
       cost = l * keep *
-             (out.intersection_cost[static_cast<std::size_t>(d + 1)] +
-              options.loop_overhead + cost);
+             (intersection_cost[d + 1] + options.loop_overhead + cost);
     }
   }
-  out.total = cost;
+  return cost;
+}
+
+}  // namespace
+
+std::vector<double> filter_probabilities(const Pattern& pattern,
+                                         const Schedule& schedule,
+                                         const RestrictionSet& restrictions) {
+  std::vector<double> f(static_cast<std::size_t>(pattern.size()));
+  fill_filter_probabilities(pattern, schedule, restrictions, f.data());
+  return f;
+}
+
+CostBreakdown predict_cost(const Pattern& pattern, const Schedule& schedule,
+                           const RestrictionSet& restrictions,
+                           const GraphStats& stats,
+                           const PerfModelOptions& options) {
+  const auto n = static_cast<std::size_t>(pattern.size());
+  CostBreakdown out;
+  out.loop_size.resize(n);
+  out.intersection_cost.resize(n);
+  out.filter_probability.resize(n);
+  out.total = fill_cost(pattern, schedule, restrictions, stats, options,
+                        out.loop_size.data(), out.intersection_cost.data(),
+                        out.filter_probability.data());
   return out;
 }
 
@@ -120,7 +147,11 @@ double predict_total_cost(const Pattern& pattern, const Schedule& schedule,
                           const RestrictionSet& restrictions,
                           const GraphStats& stats,
                           const PerfModelOptions& options) {
-  return predict_cost(pattern, schedule, restrictions, stats, options).total;
+  double loop_size[Pattern::kMaxVertices];
+  double intersection_cost[Pattern::kMaxVertices];
+  double filter_probability[Pattern::kMaxVertices];
+  return fill_cost(pattern, schedule, restrictions, stats, options, loop_size,
+                   intersection_cost, filter_probability);
 }
 
 }  // namespace graphpi

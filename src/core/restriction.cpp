@@ -60,16 +60,22 @@ std::size_t surviving_permutations(const std::vector<Permutation>& group,
 
 std::uint64_t linear_extension_count(int n, const RestrictionSet& rs) {
   GRAPHPI_CHECK(n >= 1 && n <= Pattern::kMaxVertices);
-  // Bitmask DP assigning ranks from lowest to highest: dp[S] = number of
-  // orderings of S as the |S| lowest ranks. Vertex v may receive the next
-  // rank only if every u it must dominate (v > u) is already placed.
-  // O(2^n * n) instead of the naive O(n! * |rs|).
   std::uint32_t must_precede[Pattern::kMaxVertices] = {};
   for (const auto& r : rs)
     must_precede[r.greater] |= 1u << r.smaller;
+  return linear_extension_count_by_mask(n, must_precede);
+}
 
-  const std::uint32_t full = (n >= 32) ? ~0u : ((1u << n) - 1);
-  std::vector<std::uint64_t> dp(static_cast<std::size_t>(full) + 1, 0);
+std::uint64_t linear_extension_count_by_mask(
+    int n, const std::uint32_t* must_precede) {
+  GRAPHPI_CHECK(n >= 1 && n <= Pattern::kMaxVertices);
+  // Bitmask DP assigning ranks from lowest to highest: dp[S] = number of
+  // orderings of S as the |S| lowest ranks. Vertex v may receive the next
+  // rank only if every u it must dominate (v > u) is already placed.
+  // O(2^n * n) instead of the naive O(n! * |rs|); the table fits on the
+  // stack because n <= Pattern::kMaxVertices.
+  const std::uint32_t full = (1u << n) - 1;
+  std::uint64_t dp[std::size_t{1} << Pattern::kMaxVertices];
   dp[0] = 1;
   for (std::uint32_t s = 1; s <= full; ++s) {
     std::uint64_t total = 0;

@@ -57,6 +57,12 @@ using RestrictionSet = std::vector<Restriction>;
 [[nodiscard]] std::uint64_t linear_extension_count(int n,
                                                    const RestrictionSet& rs);
 
+/// The same count over a precedence table: `must_precede[v]` is the
+/// bitmask of vertices that v must outrank (n entries). Allocation-free,
+/// so the planner can call it for every scored configuration.
+[[nodiscard]] std::uint64_t linear_extension_count_by_mask(
+    int n, const std::uint32_t* must_precede);
+
 /// Algorithm 1's validation: true iff matching the pattern on K_n with
 /// `rs` yields n!/|Aut| embeddings.
 [[nodiscard]] bool validate_restriction_set(const Pattern& pattern,

@@ -1,6 +1,7 @@
 #include "graph/vertex_set.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -628,16 +629,22 @@ const KernelTable& default_table() noexcept {
   return *chosen;
 }
 
-/// Active table pointer. Unsynchronized by design (documented contract:
-/// switch only while no matcher runs); a torn read is impossible for a
-/// single pointer on the supported platforms.
-const KernelTable* g_active = nullptr;
+/// Active table pointer (null until first use or select_kernel_isa).
+/// Every OpenMP worker of the first intersecting region reads it and may
+/// publish the default, so it is atomic; relaxed order suffices because
+/// the tables are immutable statics. A relaxed load is a plain `mov` on
+/// x86. Switching tables while a matcher runs is still unsupported.
+std::atomic<const KernelTable*> g_active{nullptr};
 
 inline const KernelTable& table() noexcept {
-  const KernelTable* t = g_active;
+  const KernelTable* t = g_active.load(std::memory_order_relaxed);
   if (t == nullptr) {
+    // Publish the default unless select_kernel_isa got there first.
     t = &default_table();
-    g_active = t;
+    const KernelTable* expected = nullptr;
+    if (!g_active.compare_exchange_strong(expected, t,
+                                          std::memory_order_relaxed))
+      t = expected;
   }
   return *t;
 }
@@ -665,15 +672,15 @@ const char* detected_isa() noexcept { return probed_best_table().name; }
 bool select_kernel_isa(KernelIsa isa) noexcept {
   switch (isa) {
     case KernelIsa::kAuto:
-      g_active = &default_table();
+      g_active.store(&default_table(), std::memory_order_relaxed);
       return true;
     case KernelIsa::kScalar:
-      g_active = &kScalarTable;
+      g_active.store(&kScalarTable, std::memory_order_relaxed);
       return true;
     case KernelIsa::kAvx2:
 #if GRAPHPI_DISPATCH_X86
       if (probe_cpu(KernelIsa::kAvx2)) {
-        g_active = &kAvx2Table;
+        g_active.store(&kAvx2Table, std::memory_order_relaxed);
         return true;
       }
 #endif
@@ -681,7 +688,7 @@ bool select_kernel_isa(KernelIsa isa) noexcept {
     case KernelIsa::kAvx512:
 #if GRAPHPI_DISPATCH_X86
       if (probe_cpu(KernelIsa::kAvx512)) {
-        g_active = &kAvx512Table;
+        g_active.store(&kAvx512Table, std::memory_order_relaxed);
         return true;
       }
 #endif

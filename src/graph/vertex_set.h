@@ -52,8 +52,9 @@ inline constexpr VertexId kNoVertexBound = std::numeric_limits<VertexId>::max();
 // Runtime CPU dispatch.
 //
 // The hot kernels exist in one slot per ISA; a global table pointer picks
-// the slot. Selection is an unsynchronized global (like the old
-// force_scalar flag): switch it only while no matcher is running.
+// the slot. The pointer is atomic, so concurrent kernels may read it
+// while the first of them publishes the default; still, switch it only
+// while no matcher is running, or one query may mix two ISAs.
 // ---------------------------------------------------------------------------
 
 /// Kernel instruction-set slots. kAuto means "best the CPU supports".

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -127,13 +128,39 @@ TEST(Observability, TraceSinkCapturesBackendSpans) {
   const auto events = buf.events();
   ASSERT_FALSE(events.empty());
   bool saw_count_span = false;
-  for (const auto& e : events)
+  bool saw_plan_span = false;
+  for (const auto& e : events) {
     if (std::string_view(e.name) == "count.serial") saw_count_span = true;
+    if (std::string_view(e.name) == "plan") saw_plan_span = true;
+  }
   EXPECT_TRUE(saw_count_span);
+  EXPECT_TRUE(saw_plan_span) << "counting a Pattern plans inside the call";
   // The sink is scoped to the call: nothing records after it returns.
   const std::size_t after_call = events.size();
   (void)engine.count(patterns::house());
   EXPECT_EQ(buf.events().size(), after_call);
+}
+
+// Every planning call observes core.plan_ms once, whichever caller
+// planned, and only while metrics are enabled.
+TEST(Observability, PlanningObservesOneHistogramSamplePerCall) {
+  const Graph g = census_graph();
+  const GraphPi engine(g);
+  const bool was = support::metrics::enabled();
+  auto plan_samples = [](const Snapshot& delta) -> std::uint64_t {
+    const auto it = delta.histograms.find("core.plan_ms");
+    return it == delta.histograms.end() ? 0 : it->second.count;
+  };
+  support::metrics::set_enabled(true);
+  const Snapshot on = metered([&] {
+    (void)engine.plan(patterns::house());
+    (void)engine.count(patterns::rectangle());
+  });
+  support::metrics::set_enabled(false);
+  const Snapshot off = metered([&] { (void)engine.plan(patterns::house()); });
+  support::metrics::set_enabled(was);
+  EXPECT_EQ(plan_samples(on), 2u);
+  EXPECT_EQ(plan_samples(off), 0u);
 }
 
 }  // namespace
