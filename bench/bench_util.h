@@ -15,9 +15,11 @@
 #include <string>
 
 #include "core/configuration.h"
-#include "engine/matcher.h"
+#include "core/plan_forest.h"
+#include "engine/forest.h"
 #include "graph/datasets.h"
 #include "graph/graph.h"
+#include "support/exec_control.h"
 #include "support/metrics.h"
 #include "support/timer.h"
 
@@ -58,26 +60,24 @@ struct BudgetedRun {
   Count count = 0;
 };
 
-/// Counts embeddings with a wall-clock budget by decomposing the run into
-/// depth-1 prefix tasks and checking the clock between tasks (overshoot
-/// is bounded by one root subtree). Exact when it completes.
-inline BudgetedRun count_with_budget(const Matcher& matcher,
+/// Counts `config`'s embeddings serially (a one-plan forest) under a
+/// wall-clock deadline polled after every root vertex (count_roots over
+/// the whole vertex range), so the overshoot is bounded by one root
+/// subtree. Exact when it completes.
+inline BudgetedRun count_with_budget(const Graph& g,
+                                     const Configuration& config,
                                      double budget_seconds) {
-  struct BudgetExceeded {};
+  const PlanForest forest({compile_plan(config)});
+  const ForestExecutor executor(g, forest);  // builds the hub index
+  ForestExecutor::Workspace ws;
+  support::RunReport report;
   support::Timer t;
-  Count total = 0;
-  // Separate workspaces: the generator's traversal is live while each
-  // task's continuation runs.
-  Matcher::Workspace gen_ws, task_ws;
-  try {
-    matcher.enumerate_prefixes(gen_ws, 1, [&](std::span<const VertexId> p) {
-      total += matcher.count_from_prefix(task_ws, p);
-      if (t.elapsed_seconds() > budget_seconds) throw BudgetExceeded{};
-    });
-  } catch (const BudgetExceeded&) {
-    return {};
-  }
-  return {t.elapsed_seconds(), matcher.finalize_partial_counts(total)};
+  support::ExecControl control;
+  control.arm_deadline_ms(budget_seconds * 1e3);
+  control.set_poll_stride(1);
+  const Count n = executor.count(ws, &control, &report).front();
+  if (!report.complete()) return {};
+  return {t.elapsed_seconds(), n};
 }
 
 /// Budgeted plain-enumeration count for a configuration (strips any IEP
@@ -86,7 +86,7 @@ inline BudgetedRun count_plain_with_budget(const Graph& g,
                                            Configuration config,
                                            double budget_seconds) {
   config.iep = IepPlan{};
-  return count_with_budget(Matcher(g, config), budget_seconds);
+  return count_with_budget(g, config, budget_seconds);
 }
 
 /// Formats a measurement; nullopt renders as "T" — the paper's marker for

@@ -15,7 +15,6 @@
 #include "core/configuration.h"
 #include "core/pattern_library.h"
 #include "engine/graphzero.h"
-#include "engine/matcher.h"
 #include "engine/naive.h"
 #include "support/table.h"
 
@@ -44,8 +43,7 @@ int main(int argc, char** argv) {
       const Configuration gp_config =
           plan_configuration(p, stats, PlannerOptions{});
       const bench::BudgetedRun gp =
-          bench::count_with_budget(Matcher(g, gp_config),
-                                   kCellBudgetSeconds);
+          bench::count_with_budget(g, gp_config, kCellBudgetSeconds);
 
       // GraphZero reproduction: its schedule + its single restriction
       // set. Only attempted when GraphPi finished (it is the faster
@@ -53,7 +51,7 @@ int main(int argc, char** argv) {
       bench::BudgetedRun gz;
       if (gp.seconds.has_value()) {
         const Configuration gz_config = graphzero::plan(p, stats);
-        gz = bench::count_with_budget(Matcher(g, gz_config),
+        gz = bench::count_with_budget(g, gz_config,
                                       2 * kCellBudgetSeconds);
         if (gz.seconds.has_value() && gz.count != gp.count) {
           std::cerr << "BUG: GraphZero disagreement on " << name << " P"
@@ -68,7 +66,7 @@ int main(int argc, char** argv) {
         Configuration naive_config;
         naive_config.pattern = p;
         naive_config.schedule = default_schedule(p);
-        naive = bench::count_with_budget(Matcher(g, naive_config),
+        naive = bench::count_with_budget(g, naive_config,
                                          2 * kCellBudgetSeconds);
         if (naive.seconds.has_value()) {
           const Count aut = automorphism_count(p);

@@ -13,7 +13,6 @@
 #include "bench_util.h"
 #include "core/configuration.h"
 #include "core/pattern_library.h"
-#include "engine/matcher.h"
 #include "support/table.h"
 
 namespace {
@@ -40,8 +39,8 @@ int main(int argc, char** argv) {
       planner.use_iep = true;
       const Configuration config = plan_configuration(p, stats, planner);
 
-      const bench::BudgetedRun with_iep = bench::count_with_budget(
-          Matcher(g, config), kIepBudgetSeconds);
+      const bench::BudgetedRun with_iep =
+          bench::count_with_budget(g, config, kIepBudgetSeconds);
 
       bench::BudgetedRun plain;
       if (with_iep.seconds.has_value()) {

@@ -13,8 +13,9 @@
 #include "bench_util.h"
 #include "core/configuration.h"
 #include "core/pattern_library.h"
+#include "core/plan_forest.h"
 #include "dist/simulator.h"
-#include "engine/matcher.h"
+#include "engine/forest.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -45,18 +46,20 @@ int main(int argc, char** argv) {
       const Pattern p = patterns::evaluation_pattern(pi);
       PlannerOptions planner;
       planner.use_iep = true;
-      const Configuration config = plan_configuration(p, stats, planner);
-      const Matcher matcher(g, config);
+      const PlanForest forest({compile_plan(
+          plan_configuration(p, stats, planner))});
+      const ForestExecutor executor(g, forest);
 
-      // Measure real per-task costs at the runtime's task granularity.
+      // Measure real per-task costs at the runtime's task granularity:
+      // one root vertex.
       std::vector<double> task_costs;
-      Matcher::Workspace gen_ws, task_ws;
-      matcher.enumerate_prefixes(
-          gen_ws, 1, [&](std::span<const VertexId> prefix) {
-            support::Timer t;
-            (void)matcher.count_from_prefix(task_ws, prefix);
-            task_costs.push_back(t.elapsed_seconds());
-          });
+      ForestExecutor::Workspace ws;
+      executor.reset(ws);
+      for (VertexId v = 0; v < g.vertex_count(); ++v) {
+        support::Timer t;
+        executor.accumulate_root(ws, v);
+        task_costs.push_back(t.elapsed_seconds());
+      }
 
       for (int nodes : panel.nodes) {
         const dist::SimResult r =

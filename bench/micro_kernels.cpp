@@ -23,7 +23,8 @@
 #include "core/configuration.h"
 #include "core/pattern_library.h"
 #include "core/restriction.h"
-#include "engine/matcher.h"
+#include "core/plan_forest.h"
+#include "engine/forest.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/triangle.h"
@@ -228,10 +229,11 @@ void BM_CountHouseRmat(benchmark::State& state) {
   force_scalar_kernels(!accelerated);
   const Configuration config = plan_configuration(
       patterns::house(), GraphStats::of(g), PlannerOptions{});
-  const Matcher matcher(g, config);
-  Matcher::Workspace ws;
+  const PlanForest forest({compile_plan(config)});
+  const ForestExecutor executor(g, forest);
+  ForestExecutor::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.count_plain(ws));
+    benchmark::DoNotOptimize(executor.count(ws));
   }
   force_scalar_kernels(false);
 }
@@ -244,10 +246,11 @@ void BM_CountClique5Rmat(benchmark::State& state) {
   force_scalar_kernels(!accelerated);
   const Configuration config = plan_configuration(
       patterns::clique(5), GraphStats::of(g), PlannerOptions{});
-  const Matcher matcher(g, config);
-  Matcher::Workspace ws;
+  const PlanForest forest({compile_plan(config)});
+  const ForestExecutor executor(g, forest);
+  ForestExecutor::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.count(ws));
+    benchmark::DoNotOptimize(executor.count(ws));
   }
   force_scalar_kernels(false);
 }
@@ -257,10 +260,11 @@ void BM_CountHouse(benchmark::State& state) {
   const Graph g = clustered_power_law(1200, 8000, 2.3, 0.4, 13);
   const Configuration config = plan_configuration(
       patterns::house(), GraphStats::of(g), PlannerOptions{});
-  const Matcher matcher(g, config);
-  Matcher::Workspace ws;
+  const PlanForest forest({compile_plan(config)});
+  const ForestExecutor executor(g, forest);
+  ForestExecutor::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.count_plain(ws));
+    benchmark::DoNotOptimize(executor.count(ws));
   }
 }
 BENCHMARK(BM_CountHouse);
@@ -271,10 +275,11 @@ void BM_CountHouseIep(benchmark::State& state) {
   planner.use_iep = true;
   const Configuration config =
       plan_configuration(patterns::house(), GraphStats::of(g), planner);
-  const Matcher matcher(g, config);
-  Matcher::Workspace ws;
+  const PlanForest forest({compile_plan(config)});
+  const ForestExecutor executor(g, forest);
+  ForestExecutor::Workspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.count(ws));
+    benchmark::DoNotOptimize(executor.count(ws));
   }
 }
 BENCHMARK(BM_CountHouseIep);
@@ -393,12 +398,11 @@ int run_json_suite(const std::string& path) {
     planner.use_iep = use_iep;
     const Configuration config =
         plan_configuration(pattern, GraphStats::of(g), planner);
-    const Matcher matcher(g, config);
-    Matcher::Workspace ws;
-    Count embeddings = 0;
+    const PlanForest forest({compile_plan(config)});
+    const ForestExecutor executor(g, forest);
+    ForestExecutor::Workspace ws;
     records.push_back(time_kernel(name, [&] {
-      embeddings = use_iep ? matcher.count(ws) : matcher.count_plain(ws);
-      return static_cast<std::size_t>(embeddings);
+      return static_cast<std::size_t>(executor.count(ws).front());
     }));
     force_scalar_kernels(false);
   };

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
   // Reference run on one node holding the whole graph.
   support::Timer timer;
-  const Count serial = Matcher(graph, config).count();
+  const Count serial = engine.count(config);
   const double serial_secs = timer.elapsed_seconds();
 
   dist::ClusterOptions options;

@@ -1,5 +1,5 @@
 // Generated-vs-interpreted demo: runs the same patterns through the
-// in-process Matcher (Backend::kSerial) and the self-compiling kernel
+// in-process forest walk (Backend::kSerial) and the self-compiling kernel
 // cache (Backend::kGenerated — plan IR -> emitted C++ -> system compiler
 // -> dlopen, engine/jit.h), checks the counts agree, and reports both
 // timings. The first generated run pays the compile; the second shows

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "api/graphpi.h"
-#include "engine/matcher.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -22,7 +21,8 @@ int main(int argc, char** argv) {
 
   const Pattern pattern = patterns::evaluation_pattern(pattern_index);
   const Graph graph = datasets::load(dataset, scale);
-  const GraphStats stats = GraphStats::of(graph);
+  const GraphPi engine(graph);
+  const GraphStats& stats = engine.stats();
   std::cout << "pattern P" << pattern_index << " " << pattern.to_string()
             << " on " << dataset << " (scale " << scale << ")\n";
 
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const Configuration config = best_configuration_for_schedule(
         pattern, sched, restriction_sets, stats);
     support::Timer timer;
-    const Count n = Matcher(graph, config).count();
+    const Count n = engine.count(config);
     rows.push_back({sched.to_string(), to_string(config.restrictions),
                     config.predicted_cost, timer.elapsed_seconds(), n});
   }

@@ -95,35 +95,13 @@ Count GraphPi::count(const Configuration& config, const MatchOptions& options,
   const support::ExecControl control = make_control(options);
   const support::ExecControl* ctl = control.armed() ? &control : nullptr;
   if (report != nullptr) *report = support::RunReport{};
-  switch (options.backend) {
-    case Backend::kSerial: {
-      const Matcher matcher(*graph_, config);
-      if (ctl == nullptr && report == nullptr) return matcher.count();
-      Matcher::Workspace ws;
-      return matcher.count(ws, ctl, report);
-    }
-    case Backend::kGenerated: {
-      // One-plan forest through the kernel cache; interpreter fallback
-      // when no system compiler is available (or the build failed).
-      const PlanForest forest({compile_plan(config)});
-      if (const auto counts =
-              jit::run_generated(*graph_, forest, options.threads, ctl, report))
-        return counts->front();
-      const Matcher matcher(*graph_, config);
-      if (ctl == nullptr && report == nullptr) return matcher.count();
-      Matcher::Workspace ws;
-      return matcher.count(ws, ctl, report);
-    }
-    case Backend::kParallel:
-      return count_parallel(*graph_, config, {options.threads}, nullptr, ctl,
-                            report);
-    case Backend::kDistributed:
-      return dist::distributed_count(*graph_, config,
-                                     cluster_options(options, ctl),
-                                     options.cluster_stats, report);
-  }
-  GRAPHPI_CHECK_MSG(false, "unknown backend");
-  return 0;
+  if (options.backend == Backend::kDistributed)
+    return dist::distributed_count(*graph_, config,
+                                   cluster_options(options, ctl),
+                                   options.cluster_stats, report);
+  // Every in-memory backend runs the one-plan forest.
+  const PlanForest forest({compile_plan(config)});
+  return run_forest(forest, options, ctl, report).front();
 }
 
 PlanForest GraphPi::plan_batch(std::span<const Pattern> patterns,
@@ -155,27 +133,29 @@ std::vector<Count> GraphPi::count_batch_impl(
   const support::ExecControl* ctl =
       control != nullptr && control->armed() ? control : nullptr;
   if (report != nullptr) *report = support::RunReport{};
-  if (options.backend == Backend::kGenerated) {
-    if (auto counts =
-            jit::run_generated(*graph_, forest, options.threads, ctl, report))
-      return *counts;
-  }
   if (options.backend == Backend::kDistributed)
     return dist::distributed_count_batch(*graph_, forest,
                                          cluster_options(options, ctl),
                                          options.cluster_stats, report);
+  return run_forest(forest, options, ctl, report);
+}
+
+std::vector<Count> GraphPi::run_forest(const PlanForest& forest,
+                                       const MatchOptions& options,
+                                       const support::ExecControl* control,
+                                       support::RunReport* report) const {
+  if (options.backend == Backend::kGenerated) {
+    if (auto counts = jit::run_generated(*graph_, forest, options.threads,
+                                         control, report))
+      return *counts;
+  }
   if (options.backend == Backend::kParallel)
     return count_batch_parallel(*graph_, forest, {options.threads}, nullptr,
-                                ctl, report);
-  // Serial (and the generated backend's interpreter fallback).
-  const ForestExecutor executor(*graph_, forest);
-  if (ctl == nullptr && report == nullptr) return executor.count();
-  std::vector<VertexId> roots(
-      static_cast<std::size_t>(graph_->vertex_count()));
-  for (std::size_t i = 0; i < roots.size(); ++i)
-    roots[i] = static_cast<VertexId>(i);
+                                control, report);
+  // Serial, and the generated backend's fallback when no system compiler
+  // is available (or the kernel build failed).
   ForestExecutor::Workspace ws;
-  return executor.count_roots(ws, roots, ctl, report);
+  return ForestExecutor(*graph_, forest).count(ws, control, report);
 }
 
 std::vector<Count> GraphPi::count_batch(std::span<const Pattern> patterns,
@@ -262,16 +242,16 @@ bool empirically_validate(const Configuration& config) {
       clustered_power_law(30, 110, 2.3, 0.5, /*seed=*/0xBEEF),
       complete_graph(static_cast<VertexId>(n + 2)),
   };
+  Configuration plain_config = config;
+  plain_config.iep = IepPlan{};
+  // Restriction correctness: unrestricted enumeration finds each
+  // embedding |Aut| times.
+  Configuration unrestricted = plain_config;
+  unrestricted.restrictions.clear();
   for (const auto& g : probes) {
-    const Matcher matcher(g, config);
-    const Count plain = matcher.count_plain();
-    if (config.iep.k > 0 && matcher.count() != plain) return false;
-    // Restriction correctness: unrestricted enumeration finds each
-    // embedding |Aut| times.
-    Configuration unrestricted = config;
-    unrestricted.restrictions.clear();
-    unrestricted.iep = IepPlan{};
-    const Count redundant = Matcher(g, unrestricted).count_plain();
+    const Count plain = count_embeddings(g, plain_config);
+    if (config.iep.k > 0 && count_embeddings(g, config) != plain) return false;
+    const Count redundant = count_embeddings(g, unrestricted);
     if (redundant != plain * automorphism_count(config.pattern)) return false;
   }
   return true;

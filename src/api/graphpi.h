@@ -26,6 +26,7 @@
 #include "core/plan_forest.h"
 #include "dist/comm.h"
 #include "dist/runtime.h"
+#include "engine/forest.h"
 #include "engine/matcher.h"
 #include "engine/parallel.h"
 #include "graph/builder.h"
@@ -44,15 +45,15 @@ namespace graphpi {
 
 /// Execution backend selection.
 enum class Backend {
-  kSerial,       ///< single-thread Matcher
+  kSerial,       ///< single-thread plan-forest walk (engine/forest.h)
   kParallel,     ///< OpenMP engine (Section IV-E, intra-node)
   kDistributed,  ///< simulated multi-node cluster (Section IV-E)
   /// Generated C++ kernel: the plan IR is emitted, compiled by the system
   /// compiler, dlopened and executed (engine/jit.h). Kernels are built
   /// with OpenMP when available and partition the root-vertex loop over
-  /// `MatchOptions::threads` workers. Falls back to the interpreter
-  /// transparently when no compiler is available; listing always uses
-  /// the interpreter.
+  /// `MatchOptions::threads` workers. Falls back to the serial forest
+  /// walk transparently when no compiler is available; listing always
+  /// uses the Matcher.
   kGenerated,
 };
 
@@ -231,6 +232,14 @@ class GraphPi {
                                       const MatchOptions& options,
                                       const support::ExecControl* control,
                                       support::RunReport* report) const;
+
+  /// Runs a forest on the serial, parallel or generated backend — the
+  /// one in-memory execution path of count and count_batch. `control`
+  /// is null or armed; `report` is optional.
+  std::vector<Count> run_forest(const PlanForest& forest,
+                                const MatchOptions& options,
+                                const support::ExecControl* control,
+                                support::RunReport* report) const;
 
   const Graph* graph_;
   GraphStats stats_;

@@ -4,7 +4,7 @@
 // kernel" (Figure 3, after AutoMine's method). This generator targets the
 // same IR every engine executes — core::Plan for one pattern,
 // core::PlanForest for a prefix-sharing batch — so emitted kernels carry
-// the full plan semantics the Matcher and ForestExecutor run:
+// the full plan semantics the ForestExecutor runs:
 //
 //   * restriction windows: each loop's [lo, hi) bound is resolved from
 //     the mapped vertices and enforced on the sorted candidates with a
@@ -38,8 +38,8 @@
 // and serves Backend::kGenerated.
 //
 // tests/codegen/codegen_exec_test.cpp compiles emitted kernels (plain,
-// IEP, and forest forms) and checks them against Matcher and
-// ForestExecutor counts under both scalar and vector dispatch.
+// IEP, and forest forms) and checks them against ForestExecutor counts
+// under both scalar and vector dispatch.
 #pragma once
 
 #include <string>

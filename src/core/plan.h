@@ -7,9 +7,9 @@
 // restriction-window bounds, and the operation kind (extend the partial
 // embedding / counting-only leaf / IEP suffix-set definition). Compiling
 // once decouples the execution engines from the scheduling core: the
-// matcher, the batch forest executor, and (eventually) generated kernels
-// all target this IR instead of re-deriving loop structure from the
-// Schedule inline.
+// forest executor (which counts), the listing matcher, the sharded
+// runtime and generated kernels all target this IR instead of
+// re-deriving loop structure from the Schedule inline.
 //
 // Plans are data-graph independent and immutable after compilation; the
 // same Plan can be executed concurrently by many workers.

@@ -74,9 +74,9 @@ class Shipper {
 
 /// One trie-walking execution context bound to a single shard: the
 /// workspace buffers (one allocation per walker for the whole run,
-/// mirroring Matcher::Workspace), the undivided per-plan sums, and the
-/// local task queue. Both executors drive instances of this class, so the
-/// sharded walk semantics live in exactly one place.
+/// mirroring ForestExecutor::Workspace), the undivided per-plan sums, and
+/// the local task queue. Both executors drive instances of this class, so
+/// the sharded walk semantics live in exactly one place.
 class ShardWalk {
  public:
   ShardWalk(const ShardedGraph& sharded, const PlanForest& forest, int node,

@@ -31,10 +31,10 @@
 //     robins: workers walk roots while frames move.
 //
 // A single pattern is executed as a one-plan forest, so the same sharded
-// executor serves Matcher-equivalent counting (distributed_count) and
+// executor serves single-pattern counting (distributed_count) and
 // whole-batch motif censuses (distributed_count_batch) — results are
-// bit-identical to Matcher::count() / ForestExecutor::count(), asserted
-// by tests that also poison non-resident adjacency to prove no node ever
+// bit-identical to the in-memory ForestExecutor::count(), asserted by
+// tests that also poison non-resident adjacency to prove no node ever
 // reads outside its shard.
 #pragma once
 
@@ -158,7 +158,7 @@ struct ClusterStats {
 };
 
 /// Counts embeddings of `config` on `graph` with the sharded cluster.
-/// Exactly equal to Matcher::count() (asserted by tests). A non-null
+/// Exactly equal to count_embeddings() (asserted by tests). A non-null
 /// `report` receives the stop status and completed root count when
 /// `options.control` is armed (partial counts skip the IEP divisibility
 /// check — they are best-effort, not exact).

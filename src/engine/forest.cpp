@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <array>
+#include <numeric>
 
 #include "engine/plan_exec.h"
 #include "graph/vertex_set.h"
@@ -79,14 +78,8 @@ Count ForestExecutor::memoized_raw_count(Workspace& ws, int memo_id,
     return exec::count_intersection_bounded(*graph_, preds, mapped, lo, hi,
                                             ws.cand[depth], ws.tmp[depth]);
   if (table.keys.empty()) {
-    // Size to the key space: a d-depth key can take at most |V|^d values,
-    // so small graphs get small tables (kMemoSlots caps the footprint).
-    std::size_t space = 1;
-    for (std::size_t i = 0; i < key_depths.size() && space < kMemoSlots; ++i)
-      space *= graph_->vertex_count();
-    table.keys.assign(std::bit_ceil(std::min(space, kMemoSlots)),
-                      kMemoEmptyKey);
-    table.values.resize(table.keys.size());
+    table.keys.assign(kMemoSlots, kMemoEmptyKey);
+    table.values.resize(kMemoSlots);
   }
   // Locality-aware slot map: the low key half is the innermost-varying
   // mapped value, which scans *sorted* adjacency lists — keeping slots
@@ -258,10 +251,14 @@ void ForestExecutor::reset(Workspace& ws) const {
 
 void ForestExecutor::accumulate_root(Workspace& ws, VertexId v0) const {
   const PlanForest::Node& root = forest_->root();
-  GRAPHPI_CHECK_MSG(root.count_leaves.empty(),
-                    "accumulate_root requires plans with >= 2 vertices");
-  // Root extensions are always unconstrained (no predecessors or bounds
-  // can reference depth < 0), so any v0 is a valid depth-0 assignment.
+  GRAPHPI_CHECK_MSG(root.iep_leaves.empty(),
+                    "accumulate_root requires IEP plans with an outer loop");
+  // A root leaf is a 1-vertex plan: no predecessors or bounds can
+  // reference depth < 0, so it counts every root exactly once.
+  for (const PlanForest::CountLeaf& leaf : root.count_leaves)
+    ++ws.sums[static_cast<std::size_t>(leaf.plan)];
+  // Root extensions are likewise unconstrained, so any v0 is a valid
+  // depth-0 assignment.
   for (const PlanForest::Extension& ext : root.extensions) {
     ws.mapped[0] = v0;
     exec_node(ws, forest_->nodes()[static_cast<std::size_t>(ext.child)],
@@ -284,12 +281,22 @@ std::vector<Count> ForestExecutor::finalize(
   return out;
 }
 
-std::vector<Count> ForestExecutor::count(Workspace& ws) const {
+std::vector<Count> ForestExecutor::count(Workspace& ws,
+                                         const support::ExecControl* control,
+                                         support::RunReport* report) const {
+  if (control != nullptr && control->armed()) {
+    std::vector<VertexId> roots(graph_->vertex_count());
+    std::iota(roots.begin(), roots.end(), VertexId{0});
+    return count_roots(ws, roots, control, report);
+  }
   reset(ws);
   support::metrics::metric_counter("engine.forest.runs").inc();
   exec_node(ws, forest_->root(), forest_->all_plans_mask());
   // The depth-0 candidate loop scans every vertex exactly once.
   flush_metrics(ws, graph_->vertex_count());
+  if (report != nullptr)
+    *report = support::RunReport{support::RunStatus::kOk,
+                                 graph_->vertex_count()};
   return finalize(ws.sums);
 }
 
@@ -360,6 +367,19 @@ std::vector<Count> ForestExecutor::count_roots(
 std::vector<Count> ForestExecutor::count() const {
   Workspace ws;
   return count(ws);
+}
+
+Count count_embeddings(const Graph& graph, const Configuration& config) {
+  const PlanForest forest({compile_plan(config)});
+  return ForestExecutor(graph, forest).count().front();
+}
+
+Count count_embeddings(const Graph& graph, const Pattern& pattern,
+                       bool use_iep) {
+  PlannerOptions options;
+  options.use_iep = use_iep;
+  return count_embeddings(
+      graph, plan_configuration(pattern, GraphStats::of(graph), options));
 }
 
 }  // namespace graphpi

@@ -9,10 +9,12 @@
 // Branch model in core/plan_forest.h); terminal counting and IEP term
 // evaluation fire only for plans whose bit survived the path.
 //
-// Like Matcher, the executor is immutable after construction and safe to
-// share across threads; all mutable state lives in a Workspace. The
-// parallel runtime (count_batch_parallel in engine/parallel.h) partitions
-// work by root vertex via accumulate_root().
+// This is the one in-memory counting walker: a single pattern counts as
+// a one-plan forest (count_embeddings below, and every in-memory backend
+// of GraphPi::count). The executor is immutable after construction and
+// safe to share across threads; all mutable state lives in a Workspace.
+// The parallel runtime (count_batch_parallel in engine/parallel.h)
+// partitions work by root vertex via accumulate_root().
 #pragma once
 
 #include <array>
@@ -20,6 +22,7 @@
 #include <span>
 #include <vector>
 
+#include "core/configuration.h"
 #include "core/pattern.h"
 #include "core/plan_forest.h"
 #include "engine/plan_exec.h"
@@ -93,8 +96,9 @@ class ForestExecutor {
     };
     std::vector<MemoTable> memo;
     /// Executor the memo tables belong to (ids are process-unique per
-    /// ForestExecutor lifetime, like Matcher workspaces); reset() drops
-    /// the tables when the workspace is handed to a different executor.
+    /// ForestExecutor lifetime, so a new executor constructed at a
+    /// destroyed one's address never matches); reset() drops the tables
+    /// when the workspace is handed to a different executor.
     std::uint64_t bound_executor = 0;
     /// IEP terms evaluated by this workspace (run-local tally; see
     /// flush_metrics()).
@@ -113,10 +117,14 @@ class ForestExecutor {
     std::vector<Count> sums;
   };
 
-  /// Direct-mapped memo geometry cap: at most 2^20 slots = 16 MB per
-  /// live table; tables are sized down to the key space (|V|^depths) on
-  /// small graphs.
-  static constexpr std::size_t kMemoSlots = std::size_t{1} << 20;
+  /// Direct-mapped memo geometry: every table has 2^16 slots (1 MB),
+  /// whatever the graph. The slot map is linear in the innermost mapped
+  /// value, so a key that repeats inside one outer iteration comes back
+  /// within a few slots; the size only has to hold the keys that repeat
+  /// across outer iterations (the pentagon's (v2, v3) leaf key, about
+  /// |N2(v0)| x deg(v0) of them per root, hits 30% at 2^12 slots and 87%
+  /// at 2^16 with 4 workers on a 300-vertex wiki_vote stand-in).
+  static constexpr std::size_t kMemoSlots = std::size_t{1} << 16;
   /// Minimum predecessor degree sum for a probe: below this the
   /// intersection is cheaper in cache than a (likely cold) table slot, so
   /// it is recomputed directly.
@@ -132,16 +140,20 @@ class ForestExecutor {
   ForestExecutor(const Graph& graph, const PlanForest& forest);
 
   /// One full traversal; returns the finalized per-plan counts, indexed
-  /// like forest().plans().
+  /// like forest().plans(). An armed `control` turns this into
+  /// count_roots() over every vertex; `report` (optional) receives the
+  /// status and completed-root tally, |V| for a complete run.
   [[nodiscard]] std::vector<Count> count() const;
-  [[nodiscard]] std::vector<Count> count(Workspace& ws) const;
+  [[nodiscard]] std::vector<Count> count(
+      Workspace& ws, const support::ExecControl* control = nullptr,
+      support::RunReport* report = nullptr) const;
 
   /// Traversal restricted to an explicit depth-0 vertex domain: counts
   /// only embeddings rooted at `roots` (duplicates count twice — pass a
   /// set). This is the shard-local entry point of the distributed
   /// runtime: a node that owns a subset of the vertex space runs the
   /// whole forest over exactly its owned roots. Equals count() when
-  /// `roots` is the full vertex range. Requires plans with >= 2 vertices.
+  /// `roots` is the full vertex range.
   ///
   /// An armed `control` is polled stride-gated after each root; on a stop
   /// the remaining roots are skipped and the partial sums are finalized
@@ -158,8 +170,7 @@ class ForestExecutor {
 
   /// Runs the forest with the depth-0 loop pinned to `v0`, adding
   /// undivided per-plan sums into ws.sums — the work unit of the parallel
-  /// batch runtime. Requires every plan to have size >= 2 (no terminal
-  /// action at the root).
+  /// batch runtime. A 1-vertex plan counts the root itself.
   void accumulate_root(Workspace& ws, VertexId v0) const;
 
   /// Converts aggregated undivided sums into final per-plan counts
@@ -208,5 +219,16 @@ class ForestExecutor {
   const PlanForest* forest_;
   std::uint64_t id_;  ///< process-unique (see Workspace::bound_executor)
 };
+
+/// Counts `config`'s embeddings serially: one traversal of the one-plan
+/// forest PlanForest({compile_plan(config)}). Applies the configuration's
+/// IEP plan when it has one; clear `config.iep` to count by plain
+/// enumeration.
+[[nodiscard]] Count count_embeddings(const Graph& graph,
+                                     const Configuration& config);
+/// Plans `pattern` for `graph` (with or without IEP) and counts it.
+[[nodiscard]] Count count_embeddings(const Graph& graph,
+                                     const Pattern& pattern,
+                                     bool use_iep = false);
 
 }  // namespace graphpi

@@ -3,7 +3,7 @@
 #include <bit>
 #include <limits>
 
-#include "engine/matcher.h"
+#include "engine/forest.h"
 #include "support/check.h"
 
 namespace graphpi::graphzero {
@@ -71,7 +71,7 @@ Configuration plan(const Pattern& pattern, const GraphStats& stats) {
 
 Count count(const Graph& graph, const Pattern& pattern) {
   const Configuration config = plan(pattern, GraphStats::of(graph));
-  return Matcher(graph, config).count_plain();
+  return count_embeddings(graph, config);
 }
 
 }  // namespace graphpi::graphzero

@@ -1,316 +1,20 @@
 #include "engine/matcher.h"
 
-#include <algorithm>
-#include <atomic>
-#include <numeric>
-
 #include "engine/plan_exec.h"
 #include "graph/vertex_set.h"
-#include "support/check.h"
-#include "support/metrics.h"
 
 namespace graphpi {
 
-namespace {
-
-std::atomic<std::uint64_t> g_workspace_constructions{0};
-std::atomic<std::uint64_t> g_next_matcher_id{1};  // 0 = workspace unbound
-
-}  // namespace
-
-Matcher::Workspace::Workspace() {
-  g_workspace_constructions.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t Matcher::workspace_constructions() noexcept {
-  return g_workspace_constructions.load(std::memory_order_relaxed);
-}
-
-Matcher::Matcher(const Graph& graph, Configuration config)
-    : graph_(&graph),
-      config_(std::move(config)),
-      plan_(compile_plan(config_)),
-      id_(g_next_matcher_id.fetch_add(1, std::memory_order_relaxed)) {
-  n_ = plan_.size();
-  iep_active_ = plan_.iep_active();
-  outer_depth_ = plan_.outer_depth;
-
+Matcher::Matcher(const Graph& graph, const Configuration& config)
+    : graph_(&graph), plan_(compile_plan(config)), n_(plan_.size()) {
   // Hub rows accelerate the multi-way intersections; building is
   // idempotent and must happen before the matcher is shared across
   // threads. Plans without any 2+-way intersection skip the index.
   if (plan_.wants_hub_index) graph.ensure_hub_index();
-
-  identity_set_ids_.resize(static_cast<std::size_t>(plan_.iep.k));
-  std::iota(identity_set_ids_.begin(), identity_set_ids_.end(), 0);
 }
 
-std::span<const VertexId> Matcher::build_candidates(Workspace& ws,
-                                                    int depth) const {
-  return exec::build_candidates(
-      *graph_, plan_.steps[static_cast<std::size_t>(depth)].predecessor_depths,
-      {ws.mapped, static_cast<std::size_t>(depth)}, ws.buf_a[depth],
-      ws.buf_b[depth], ws.all_vertices);
-}
-
-std::span<const VertexId> Matcher::bounded_range(
-    const Workspace& ws, int depth, std::span<const VertexId> cands) const {
-  const exec::Window w = exec::bounded_window(
-      ws.mapped, plan_.steps[static_cast<std::size_t>(depth)]);
-  if (w.unbounded()) return cands;
-  return trim_to_window(cands, w.lo_inclusive, w.hi_exclusive);
-}
-
-Count Matcher::count_leaf(Workspace& ws, int depth) const {
-  const auto& step = plan_.steps[static_cast<std::size_t>(depth)];
-  const exec::Window w = exec::bounded_window(ws.mapped, step);
-  return exec::count_leaf(*graph_, step.predecessor_depths,
-                          {ws.mapped, static_cast<std::size_t>(depth)},
-                          w.lo_inclusive, w.hi_exclusive, ws.buf_a[depth],
-                          ws.buf_b[depth]);
-}
-
-Count Matcher::recurse(Workspace& ws, int depth,
-                       const EmbeddingCallback* cb) const {
-  if (depth == n_ - 1 && cb == nullptr) {
-    // Innermost loop of a counting run: no candidate vector is built.
-    return count_leaf(ws, depth);
-  }
-
-  const auto range = bounded_range(ws, depth, build_candidates(ws, depth));
-  Count total = 0;
-  for (VertexId v : range) {
-    if (exec::already_used({ws.mapped, static_cast<std::size_t>(depth)}, v))
-      continue;
-    ws.mapped[depth] = v;
-    if (depth == n_ - 1) {
-      ++total;
-      VertexId embedding[Pattern::kMaxVertices];
-      for (int d = 0; d < n_; ++d)
-        embedding[plan_.steps[static_cast<std::size_t>(d)].pattern_vertex] =
-            ws.mapped[d];
-      (*cb)({embedding, static_cast<std::size_t>(n_)});
-    } else {
-      total += recurse(ws, depth + 1, cb);
-    }
-  }
-  return total;
-}
-
-Count Matcher::evaluate_iep_leaf(Workspace& ws) const {
-  const int k = plan_.iep.k;
-  const std::span<const VertexId> mapped{
-      ws.mapped, static_cast<std::size_t>(outer_depth_)};
-
-  // Materialize the suffix candidate sets S_0..S_{k-1}, each minus the
-  // already-mapped vertices (Figure 6(b): "S1 <- tmpAB - {vA,vB,vC}").
-  // These are reused across every IEP term, so they are the only
-  // materialization the leaf performs.
-  ws.suffix_sets.resize(static_cast<std::size_t>(k));
-  for (int s = 0; s < k; ++s) {
-    const auto& step =
-        plan_.steps[static_cast<std::size_t>(outer_depth_ + s)];
-    exec::build_suffix_set(*graph_, step.predecessor_depths, mapped,
-                           ws.suffix_sets[static_cast<std::size_t>(s)],
-                           ws.scratch_a);
-  }
-
-  ws.iep_terms += plan_.iep.terms.size();
-  return exec::evaluate_iep_terms(plan_.iep.terms, ws.suffix_sets,
-                                  identity_set_ids_, ws.scratch_a,
-                                  ws.scratch_b);
-}
-
-void Matcher::flush_metrics(Workspace& ws, std::uint64_t roots) const {
-  using support::metrics::Counter;
-  using support::metrics::metric_counter;
-  static Counter& c_roots = metric_counter("engine.matcher.roots_completed");
-  static Counter& c_iep = metric_counter("engine.iep.terms_evaluated");
-  if (roots != 0) c_roots.inc(roots);
-  if (ws.iep_terms > ws.iep_terms_flushed) {
-    c_iep.inc(ws.iep_terms - ws.iep_terms_flushed);
-    ws.iep_terms_flushed = ws.iep_terms;
-  }
-}
-
-Count Matcher::recurse_iep(Workspace& ws, int depth) const {
-  if (depth == outer_depth_) return evaluate_iep_leaf(ws);
-  const auto range = bounded_range(ws, depth, build_candidates(ws, depth));
-  Count total = 0;
-  for (VertexId v : range) {
-    if (exec::already_used({ws.mapped, static_cast<std::size_t>(depth)}, v))
-      continue;
-    ws.mapped[depth] = v;
-    total += recurse_iep(ws, depth + 1);
-  }
-  return total;
-}
-
-Count Matcher::count(Workspace& ws) const {
-  invalidate_prefix(ws);
-  support::metrics::metric_counter("engine.matcher.runs").inc();
-  // Depth 0 has no predecessors or bounds, so when a root loop exists at
-  // all it scans every vertex exactly once.
-  const std::uint64_t roots =
-      (iep_active_ ? outer_depth_ : n_) >= 1 ? graph_->vertex_count() : 0;
-  if (!iep_active_) {
-    const Count total = recurse(ws, 0, nullptr);
-    flush_metrics(ws, roots);
-    return total;
-  }
-  const Count undivided = recurse_iep(ws, 0);
-  flush_metrics(ws, roots);
-  GRAPHPI_CHECK_MSG(undivided % plan_.iep.divisor == 0,
-                    "IEP sum must be divisible by the surviving-"
-                    "automorphism factor x");
-  return undivided / plan_.iep.divisor;
-}
-
-Count Matcher::count() const {
-  Workspace ws;
-  return count(ws);
-}
-
-Count Matcher::count(Workspace& ws, const support::ExecControl* control,
-                     support::RunReport* report) const {
-  if (control == nullptr || !control->armed()) {
-    // Nothing to poll: the plain path, plus a trivially-complete report.
-    const Count total = count(ws);
-    if (report != nullptr)
-      *report = support::RunReport{support::RunStatus::kOk,
-                                   static_cast<std::uint64_t>(n_ >= 1)};
-    return total;
-  }
-  // Patterns whose entire evaluation is a single leaf (no depth-0 loop to
-  // poll) run unbounded — they are one root unit by definition.
-  if (n_ < 2 || (iep_active_ && outer_depth_ < 1)) {
-    const Count total = count(ws);
-    if (report != nullptr)
-      *report = support::RunReport{support::RunStatus::kOk, 1};
-    return total;
-  }
-
-  invalidate_prefix(ws);
-  support::metrics::metric_counter("engine.matcher.runs").inc();
-  support::PollGate gate(control);
-  Count total = 0;
-  // The depth-0 loop of recurse()/recurse_iep(), unrolled one level so
-  // the gate fires once per completed root vertex. No already_used check:
-  // the prefix is empty at depth 0.
-  const auto range = bounded_range(ws, 0, build_candidates(ws, 0));
-  for (VertexId v : range) {
-    ws.mapped[0] = v;
-    total += iep_active_ ? recurse_iep(ws, 1) : recurse(ws, 1, nullptr);
-    if (gate.completed_unit() != support::RunStatus::kOk) break;
-  }
-  if (report != nullptr) {
-    report->status = gate.status();
-    report->completed_roots = gate.done();
-  }
-  support::observe_run_status(gate.status());
-  flush_metrics(ws, gate.done());
-  if (!iep_active_) return total;
-  if (gate.status() == support::RunStatus::kOk) {
-    GRAPHPI_CHECK_MSG(total % plan_.iep.divisor == 0,
-                      "IEP sum must be divisible by the surviving-"
-                      "automorphism factor x");
-    return total / plan_.iep.divisor;
-  }
-  // Partial IEP sums are generally not divisible by x: best-effort.
-  return total / plan_.iep.divisor;
-}
-
-Count Matcher::count_plain(Workspace& ws) const {
-  invalidate_prefix(ws);
-  support::metrics::metric_counter("engine.matcher.runs").inc();
-  const Count total = recurse(ws, 0, nullptr);
-  flush_metrics(ws, n_ >= 1 ? graph_->vertex_count() : 0);
-  return total;
-}
-
-Count Matcher::count_plain() const {
-  Workspace ws;
-  return count_plain(ws);
-}
-
-void Matcher::enumerate(Workspace& ws, const EmbeddingCallback& cb) const {
-  invalidate_prefix(ws);
-  recurse(ws, 0, &cb);
-}
-
-void Matcher::enumerate(const EmbeddingCallback& cb) const {
-  Workspace ws;
-  enumerate(ws, cb);
-}
-
-bool Matcher::apply_prefix(Workspace& ws,
-                           std::span<const VertexId> prefix) const {
-  GRAPHPI_CHECK(prefix.size() <= static_cast<std::size_t>(n_));
-  // Skip the longest prefix this workspace already validated against this
-  // matcher — tasks arriving in lexicographic order share their leading
-  // positions, whose candidate intersections are the expensive part of
-  // prefix validation.
-  std::size_t start = 0;
-  if (ws.bound_matcher == id_) {
-    const std::size_t reusable = std::min(
-        static_cast<std::size_t>(ws.applied_depth), prefix.size());
-    while (start < reusable && ws.mapped[start] == prefix[start]) ++start;
-  } else {
-    ws.bound_matcher = id_;
-  }
-  for (std::size_t d = start; d < prefix.size(); ++d) {
-    const VertexId v = prefix[d];
-    if (exec::already_used({ws.mapped, d}, v)) {
-      ws.applied_depth = static_cast<int>(d);
-      return false;
-    }
-    const auto range =
-        bounded_range(ws, static_cast<int>(d),
-                      build_candidates(ws, static_cast<int>(d)));
-    if (!contains(range, v)) {
-      ws.applied_depth = static_cast<int>(d);
-      return false;
-    }
-    ws.mapped[d] = v;
-  }
-  ws.applied_depth = static_cast<int>(prefix.size());
-  return true;
-}
-
-Count Matcher::count_from_prefix(Workspace& ws,
-                                 std::span<const VertexId> prefix) const {
-  if (!apply_prefix(ws, prefix)) return 0;
-  const int depth = static_cast<int>(prefix.size());
-  if (!iep_active_) {
-    if (depth == n_) return 1;
-    return recurse(ws, depth, nullptr);
-  }
-  GRAPHPI_CHECK_MSG(depth <= outer_depth_,
-                    "prefix must not extend into the IEP suffix");
-  // Undivided on purpose: only the global total is divisible by x.
-  return depth == outer_depth_ ? evaluate_iep_leaf(ws)
-                               : recurse_iep(ws, depth);
-}
-
-Count Matcher::count_from_prefix(std::span<const VertexId> prefix) const {
-  Workspace ws;
-  return count_from_prefix(ws, prefix);
-}
-
-Count Matcher::finalize_partial_counts(Count aggregated) const {
-  if (!iep_active_) return aggregated;
-  GRAPHPI_CHECK_MSG(aggregated % plan_.iep.divisor == 0,
-                    "aggregated IEP sum must be divisible by the surviving-"
-                    "automorphism factor x");
-  return aggregated / plan_.iep.divisor;
-}
-
-void Matcher::enumerate_from_prefix(Workspace& ws,
-                                    std::span<const VertexId> prefix,
-                                    const EmbeddingCallback& cb) const {
-  GRAPHPI_CHECK_MSG(!iep_active_,
-                    "IEP configurations cannot list embeddings");
-  if (!apply_prefix(ws, prefix)) return;
-  const int depth = static_cast<int>(prefix.size());
+void Matcher::recurse(Workspace& ws, int depth,
+                      const EmbeddingCallback& cb) const {
   if (depth == n_) {
     VertexId embedding[Pattern::kMaxVertices];
     for (int d = 0; d < n_; ++d)
@@ -319,54 +23,34 @@ void Matcher::enumerate_from_prefix(Workspace& ws,
     cb({embedding, static_cast<std::size_t>(n_)});
     return;
   }
-  recurse(ws, depth, &cb);
+  const auto& step = plan_.steps[static_cast<std::size_t>(depth)];
+  const std::span<const VertexId> mapped{ws.mapped,
+                                         static_cast<std::size_t>(depth)};
+  const auto cands =
+      exec::build_candidates(*graph_, step.predecessor_depths, mapped,
+                             ws.buf_a[depth], ws.buf_b[depth],
+                             ws.all_vertices);
+  const exec::Window w = exec::bounded_window(ws.mapped, step);
+  const auto range =
+      w.unbounded() ? cands
+                    : trim_to_window(cands, w.lo_inclusive, w.hi_exclusive);
+  for (VertexId v : range) {
+    if (exec::already_used(mapped, v)) continue;
+    ws.mapped[depth] = v;
+    recurse(ws, depth + 1, cb);
+  }
 }
 
-void Matcher::enumerate_from_prefix(std::span<const VertexId> prefix,
-                                    const EmbeddingCallback& cb) const {
+void Matcher::enumerate(const EmbeddingCallback& cb) const {
   Workspace ws;
-  enumerate_from_prefix(ws, prefix, cb);
+  recurse(ws, 0, cb);
 }
 
-void Matcher::enumerate_prefixes(
-    Workspace& ws, int depth,
-    const std::function<void(std::span<const VertexId>)>& cb) const {
-  GRAPHPI_CHECK(depth >= 1 && depth <= outer_depth_);
-  invalidate_prefix(ws);
-  // Iterative-in-recursion: reuse recurse() shape but stop at `depth`.
-  const std::function<void(int)> walk = [&](int d) {
-    const auto range = bounded_range(ws, d, build_candidates(ws, d));
-    for (VertexId v : range) {
-      if (exec::already_used({ws.mapped, static_cast<std::size_t>(d)}, v))
-        continue;
-      ws.mapped[d] = v;
-      if (d + 1 == depth) {
-        cb({ws.mapped, static_cast<std::size_t>(depth)});
-      } else {
-        walk(d + 1);
-      }
-    }
-  };
-  walk(0);
-}
-
-void Matcher::enumerate_prefixes(
-    int depth, const std::function<void(std::span<const VertexId>)>& cb) const {
-  Workspace ws;
-  enumerate_prefixes(ws, depth, cb);
-}
-
-Count count_embeddings(const Graph& graph, const Configuration& config) {
-  return Matcher(graph, config).count();
-}
-
-Count count_embeddings(const Graph& graph, const Pattern& pattern,
-                       bool use_iep) {
-  PlannerOptions options;
-  options.use_iep = use_iep;
-  const Configuration config =
-      plan_configuration(pattern, GraphStats::of(graph), options);
-  return Matcher(graph, config).count();
+void Matcher::enumerate_root(Workspace& ws, VertexId root,
+                             const EmbeddingCallback& cb) const {
+  // Depth 0 has no predecessors or bounds, so any vertex is a valid root.
+  ws.mapped[0] = root;
+  recurse(ws, 1, cb);
 }
 
 }  // namespace graphpi

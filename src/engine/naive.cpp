@@ -1,7 +1,7 @@
 #include "engine/naive.h"
 
 #include "core/automorphism.h"
-#include "engine/matcher.h"
+#include "engine/forest.h"
 #include "support/check.h"
 
 namespace graphpi {
@@ -16,7 +16,7 @@ Count naive_count_redundant(const Graph& graph, const Pattern& pattern) {
   config.pattern = pattern;
   config.schedule = default_schedule(pattern);
   // No restrictions, no IEP: every automorphic copy is enumerated.
-  return Matcher(graph, config).count_plain();
+  return count_embeddings(graph, config);
 }
 
 Count naive_count(const Graph& graph, const Pattern& pattern) {

@@ -2,7 +2,7 @@
 //
 // An intentionally independent implementation of embedding counting used
 // by the test suite to validate the optimized engines. It shares no code
-// with Matcher: candidates come from per-vertex adjacency walks plus
+// with them: candidates come from per-vertex adjacency walks plus
 // has_edge probes (no sorted-set algebra, no restrictions, no schedules).
 // Only suitable for small graphs.
 #pragma once

@@ -127,29 +127,9 @@ Count count_parallel(const Graph& graph, const Configuration& config,
                      const ParallelOptions& options, ParallelRunStats* stats,
                      const support::ExecControl* control,
                      support::RunReport* report) {
-  const support::trace::Span span("parallel.count");
-  const Matcher matcher(graph, config);
-  struct Worker {
-    Matcher::Workspace ws;
-    Count sum = 0;
-  };
-  Count aggregated = 0;
-  const support::RunStatus status = drive_roots(
-      graph.vertex_count(), options, control, stats, report,
-      [] { return Worker{}; },
-      [&matcher](Worker& w, VertexId v) {
-        w.sum += matcher.count_from_prefix(w.ws, {&v, 1});
-      },
-      [&](Worker& w, std::uint64_t) {
-        // IEP-term tally; drive_roots counts the roots.
-        matcher.flush_metrics(w.ws, 0);
-        aggregated += w.sum;
-      });
-  if (status == support::RunStatus::kOk)
-    return matcher.finalize_partial_counts(aggregated);
-  // Partial IEP sums are generally not divisible by x: best-effort.
-  const Plan& plan = matcher.plan();
-  return plan.iep_active() ? aggregated / plan.iep.divisor : aggregated;
+  const PlanForest forest({compile_plan(config)});
+  return count_batch_parallel(graph, forest, options, stats, control, report)
+      .front();
 }
 
 void enumerate_parallel(const Graph& graph, const Configuration& config,
@@ -169,8 +149,8 @@ void enumerate_parallel(const Graph& graph, const Configuration& config,
       [] { return Worker{}; },
       [&](Worker& w, VertexId v) {
         w.flat.clear();
-        matcher.enumerate_from_prefix(
-            w.ws, {&v, 1}, [&w](std::span<const VertexId> emb) {
+        matcher.enumerate_root(
+            w.ws, v, [&w](std::span<const VertexId> emb) {
               w.flat.insert(w.flat.end(), emb.begin(), emb.end());
             });
         if (w.flat.empty()) return;
@@ -189,8 +169,6 @@ std::vector<Count> count_batch_parallel(const Graph& graph,
                                         support::RunReport* report) {
   const support::trace::Span span("parallel.count_batch");
   const ForestExecutor executor(graph, forest);
-  GRAPHPI_CHECK_MSG(forest.root().count_leaves.empty(),
-                    "count_batch_parallel requires plans with >= 2 vertices");
   std::vector<Count> aggregated(forest.plans().size(), 0);
   const support::RunStatus status = drive_roots(
       graph.vertex_count(), options, control, stats, report,

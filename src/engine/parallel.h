@@ -37,16 +37,17 @@ struct ParallelRunStats {
   std::vector<double> per_thread_seconds;
 };
 
-/// Counts embeddings of `config` on `graph` using OpenMP, running the
-/// Matcher once per root vertex (count_from_prefix on a 1-vertex
-/// prefix). Exactly equal to Matcher::count() (asserted by tests).
+/// Counts embeddings of `config` on `graph` using OpenMP: the one-plan
+/// forest PlanForest({compile_plan(config)}) through
+/// count_batch_parallel. Exactly equal to count_embeddings() (asserted
+/// by tests).
 ///
 /// An armed `control` is polled per worker every poll-stride roots (a
 /// shared completed-root counter is flushed at stride boundaries, so the
 /// hot loop stays free of shared-cacheline traffic); on a stop workers
 /// skip their remaining roots and the partial sum is finalized without
 /// the IEP divisibility check. `report` receives the status and the
-/// number of completed roots.
+/// number of completed roots (|V| for a complete run).
 [[nodiscard]] Count count_parallel(const Graph& graph,
                                    const Configuration& config,
                                    const ParallelOptions& options = {},
@@ -63,10 +64,10 @@ void enumerate_parallel(const Graph& graph, const Configuration& config,
                         const ParallelOptions& options = {});
 
 /// Counts every plan of a prefix-sharing forest in one parallel traversal
-/// (engine/forest.h executes each worker's roots). Every plan must have
-/// >= 2 vertices. Returns finalized per-plan counts, indexed like
-/// forest.plans(); exactly equal to running each plan's Matcher alone
-/// (asserted by tests). Bounded runs behave as in count_parallel.
+/// (engine/forest.h executes each worker's roots). Returns finalized
+/// per-plan counts, indexed like forest.plans(); exactly equal to
+/// counting each plan alone (asserted by tests). Bounded runs behave as
+/// in count_parallel.
 [[nodiscard]] std::vector<Count> count_batch_parallel(
     const Graph& graph, const PlanForest& forest,
     const ParallelOptions& options = {}, ParallelRunStats* stats = nullptr,

@@ -141,17 +141,6 @@ Count count_used_in_intersection(const Graph& g, std::span<const int> preds,
   return used;
 }
 
-Count count_leaf(const Graph& g, std::span<const int> preds,
-                 std::span<const VertexId> mapped, VertexId lo_inclusive,
-                 VertexId hi_exclusive, std::vector<VertexId>& buf,
-                 std::vector<VertexId>& tmp) {
-  if (lo_inclusive >= hi_exclusive) return 0;
-  return count_intersection_bounded(g, preds, mapped, lo_inclusive,
-                                    hi_exclusive, buf, tmp) -
-         count_used_in_intersection(g, preds, mapped, lo_inclusive,
-                                    hi_exclusive);
-}
-
 void build_suffix_set(const Graph& g, std::span<const int> preds,
                       std::span<const VertexId> mapped,
                       std::vector<VertexId>& set,

@@ -2,10 +2,11 @@
 //
 // The building blocks every plan executor composes: hub-aware candidate
 // construction, the counting-only leaf kernel, IEP suffix-set
-// materialization, and IEP term evaluation. Matcher (one plan) and
-// ForestExecutor (a prefix-sharing trie of many plans) both drive their
-// loops through these functions, so the SIMD kernel selection and the
-// hub-bitmap heuristics live in exactly one place.
+// materialization, and IEP term evaluation. ForestExecutor (counting a
+// prefix-sharing trie of one or many plans), the sharded distributed
+// walk and the listing Matcher drive their loops through these
+// functions, so the SIMD kernel selection and the hub-bitmap heuristics
+// live in exactly one place.
 //
 // Conventions: `mapped` spans the data vertices assigned to schedule
 // depths [0, depth); every predecessor/bound depth referenced by the
@@ -54,8 +55,8 @@ struct Window {
 
 /// restriction_window over any plan/forest element carrying bound-depth
 /// lists (PlanStep, PlanForest::Branch/CountLeaf). The single place the
-/// window-resolution convention lives — Matcher, ForestExecutor and the
-/// sharded distributed runtime all resolve through it.
+/// window-resolution convention lives — ForestExecutor, the sharded
+/// distributed runtime and the Matcher all resolve through it.
 template <typename Bounded>
 [[nodiscard]] inline Window bounded_window(const VertexId* mapped,
                                            const Bounded& b) {
@@ -109,14 +110,6 @@ void intersect_with_vertex(const Graph& g, std::span<const VertexId> set,
                                                std::span<const VertexId> mapped,
                                                VertexId lo_inclusive,
                                                VertexId hi_exclusive);
-
-/// Counting-only innermost loop: |candidates(preds) ∩ [lo, hi)| minus the
-/// vertices already in `mapped` (the two halves above combined).
-[[nodiscard]] Count count_leaf(const Graph& g, std::span<const int> preds,
-                               std::span<const VertexId> mapped,
-                               VertexId lo_inclusive, VertexId hi_exclusive,
-                               std::vector<VertexId>& buf,
-                               std::vector<VertexId>& tmp);
 
 /// Materializes one IEP suffix candidate set: the intersection of the
 /// predecessors' adjacencies minus the already-mapped vertices.

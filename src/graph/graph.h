@@ -133,8 +133,8 @@ class Graph {
   // Building mutates lazily-initialized state. ensure_hub_index() is
   // safe to call from concurrent threads (double-checked under a
   // process-wide build lock with acquire/release publication) — racing
-  // first-compiles of generated kernels and concurrent Matcher /
-  // ForestExecutor constructions all funnel through it. build_hub_index()
+  // first-compiles of generated kernels and concurrent ForestExecutor /
+  // Matcher constructions all funnel through it. build_hub_index()
   // with an explicit threshold rebuilds unconditionally and must not run
   // while other threads use the graph.
   // -------------------------------------------------------------------------

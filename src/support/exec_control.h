@@ -1,6 +1,6 @@
 // Bounded execution: deadlines, cooperative cancellation, work budgets.
 //
-// Every backend (Matcher, ForestExecutor, the OpenMP parallel engine,
+// Every backend (the serial ForestExecutor, the OpenMP parallel engine,
 // the sharded distributed runtime, and generated kernels through the v3
 // kernel ABI) polls one ExecControl handle at ROOT-VERTEX granularity:
 // between two poll points a backend only ever finishes the root unit it

@@ -21,7 +21,7 @@
 #include "core/configuration.h"
 #include "core/pattern_library.h"
 #include "engine/forest.h"
-#include "engine/matcher.h"
+#include "engine/forest.h"
 #include "graph/generators.h"
 #include "graph/vertex_set.h"
 
@@ -112,7 +112,7 @@ TEST_P(CodegenExecTest, GeneratedKernelMatchesEngine) {
   ASSERT_NE(kernel, nullptr) << "system compiler unavailable or codegen "
                                 "emitted uncompilable source";
 
-  expect_kernel_matches(kernel, g, Matcher(g, config).count(), tag);
+  expect_kernel_matches(kernel, g, count_embeddings(g, config), tag);
   dlclose(handle);
 }
 
@@ -146,8 +146,8 @@ TEST(CodegenForestExec, ThreePatternForestMatchesEngines) {
                        "forest3", "graphpi_forest_kernel", &handle));
   ASSERT_NE(kernel, nullptr);
 
-  // Three-way agreement: generated == ForestExecutor == Matcher, across
-  // scalar and SIMD dispatch.
+  // Three-way agreement: generated == the batch forest == each pattern
+  // counted alone, across scalar and SIMD dispatch.
   const std::vector<Count> forest_counts = ForestExecutor(g, forest).count();
   g.ensure_hub_index();
   const codegen::KernelGraph view = codegen::make_kernel_graph(g);
@@ -177,7 +177,7 @@ TEST(CodegenForestExec, PatternLibrarySweepInOneKernel) {
   // Every named pattern_library pattern in ONE forest kernel (one
   // compiler invocation buys library-wide coverage), planned with IEP
   // where the planner finds a valid plan. Generated counts must equal
-  // the per-pattern Matcher.
+  // each pattern counted alone.
   const Graph g = test_graph();
   const GraphStats stats = GraphStats::of(g);
   // cycle(6) included: the planner's order-uniformity validation
@@ -196,7 +196,7 @@ TEST(CodegenForestExec, PatternLibrarySweepInOneKernel) {
   for (const Pattern& p : library) {
     const Configuration config = plan_configuration(p, stats, planner);
     plans.push_back(compile_plan(config));
-    want.push_back(Matcher(g, config).count());
+    want.push_back(count_embeddings(g, config));
   }
   const PlanForest forest(std::move(plans));
 
@@ -258,7 +258,7 @@ TEST(CodegenExec, StandaloneProgramCompilesAndRuns) {
   std::ifstream result(out_file);
   unsigned long long count = 0;
   result >> count;
-  EXPECT_EQ(count, Matcher(g, config).count());
+  EXPECT_EQ(count, count_embeddings(g, config));
 }
 
 TEST(CodegenExec, AbiVersionExported) {

@@ -53,7 +53,7 @@ TEST(DistAsync, MatchesSerialAcrossNodesStrategiesAndWorkers) {
   for (const Pattern& p : {patterns::pentagon(), patterns::rectangle(),
                            patterns::clique(4), patterns::path(4)}) {
     const Configuration config = engine.plan(p);
-    const Count expected = Matcher(g, config).count();
+    const Count expected = count_embeddings(g, config);
     for (const auto strategy :
          {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
       for (int nodes : {1, 2, 4, 7}) {
@@ -76,7 +76,7 @@ TEST(DistAsync, ShippedContinuationsMatchLockstep) {
   const Graph g = clustered_power_law(70, 280, 2.2, 0.5, 32);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::pentagon());
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
 
   ClusterOptions lockstep;
   lockstep.nodes = 4;
@@ -117,7 +117,7 @@ TEST(DistAsync, FaultFreeRunsNeverRetransmitUnderOversubscription) {
   const Graph g = rmat(7, 650, 103);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::pentagon());
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
   ClusterOptions options = async_options(4, 2);
   options.flush_payloads = 1 << 12;
   options.flush_bytes = 1 << 24;
@@ -160,7 +160,7 @@ TEST(DistAsync, OneFrameMailboxBackpressuresAndStaysExact) {
   const Graph g = clustered_power_law(70, 280, 2.2, 0.5, 34);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::pentagon());
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
   ClusterOptions options = async_options(4);
   options.mailbox_capacity = 1;
   options.flush_payloads = 1;  // no coalescing: maximum frame pressure
@@ -176,7 +176,7 @@ TEST(DistAsync, HaloContainedPatternShipsNothing) {
   const Graph g = clustered_power_law(70, 280, 2.2, 0.5, 35);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::star(4));
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
   ClusterStats stats;
   EXPECT_EQ(dist::distributed_count(g, config, async_options(3), &stats),
             expected);
@@ -234,7 +234,7 @@ TEST(DistAsync, UnboundedRunReportsOkWithAllRoots) {
   const Graph g = clustered_power_law(70, 280, 2.2, 0.5, 39);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::rectangle());
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
   support::ExecControl control;
   control.set_root_budget(1u << 30);  // armed, but never binding
   ClusterOptions options = async_options(3, 2);

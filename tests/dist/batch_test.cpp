@@ -33,7 +33,7 @@ TEST(DistBatch, MatchesSerialAcrossNodesStrategiesAndKernels) {
   const GraphPi engine(g);
   for (const Pattern& p : boundary_patterns()) {
     const Configuration config = engine.plan(p);
-    const Count expected = Matcher(g, config).count();
+    const Count expected = count_embeddings(g, config);
     for (bool scalar : {false, true}) {
       force_scalar_kernels(scalar);
       for (const auto strategy :
@@ -83,7 +83,7 @@ TEST(DistBatch, BoundaryCrossingPatternShipsCandidateBytes) {
   const Graph g = clustered_power_law(70, 280, 2.2, 0.5, 23);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::pentagon());
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
   for (const auto strategy :
        {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
     ClusterOptions options;
@@ -149,7 +149,7 @@ TEST(DistBatch, TaskDepthDoesNotChangeCounts) {
   const Graph g = clustered_power_law(60, 250, 2.3, 0.4, 24);
   const GraphPi engine(g);
   const Configuration config = engine.plan(patterns::house());
-  const Count expected = Matcher(g, config).count();
+  const Count expected = count_embeddings(g, config);
   for (int depth : {1, 2, 3, 5}) {
     ClusterOptions options;
     options.nodes = 3;
@@ -224,21 +224,6 @@ TEST(DistBatch, CommCostModelProjectsMeasuredRun) {
       stats.seconds_per_node, stats.sent_messages_per_node,
       stats.sent_bytes_per_node, slow);
   EXPECT_GE(congested.makespan_seconds, sim.makespan_seconds);
-}
-
-TEST(DistBatch, WorkspacePerNodeIsReusedAcrossTasks) {
-  // The sharded runtime allocates one workspace per logical node for the
-  // whole run; Matcher workspace constructions must not scale with task
-  // count. (The sharded executor uses its own per-node state, so the
-  // global Matcher counter simply must not move at all.)
-  const Graph g = erdos_renyi(60, 260, 28);
-  const GraphPi engine(g);
-  const Configuration config = engine.plan(patterns::house());
-  const std::uint64_t before = Matcher::workspace_constructions();
-  ClusterOptions options;
-  options.nodes = 4;
-  (void)dist::distributed_count(g, config, options);
-  EXPECT_EQ(Matcher::workspace_constructions(), before);
 }
 
 TEST(DistBatch, AsyncBatchForestMatchesLockstepAndSerial) {

@@ -4,12 +4,18 @@
 // and on — the property the ISSUE's acceptance criteria name.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "api/graphpi.h"
 #include "core/plan.h"
 #include "core/plan_forest.h"
 #include "engine/forest.h"
+#include "engine/matcher.h"
 #include "engine/parallel.h"
 #include "graph/vertex_set.h"
 #include "test_util.h"
@@ -139,6 +145,72 @@ TEST(Batch, MemoizedLeavesStayExactOnHubHeavyGraphs) {
   ASSERT_GE(forest.stats().memoized_leaves, 1u);
   const std::vector<Count> expected = per_pattern_reference(engine, motifs);
   EXPECT_EQ(ForestExecutor(g, forest).count(), expected);
+}
+
+/// Every memo table a workspace holds stays within the fixed geometry
+/// (2^16 slots, 1 MB), whatever the graph's key space.
+void expect_fixed_memo_footprint(const ForestExecutor::Workspace& ws,
+                                 const char* where) {
+  for (const auto& table : ws.memo) {
+    EXPECT_LE(table.keys.size(), ForestExecutor::kMemoSlots) << where;
+    EXPECT_LE(table.values.size(), ForestExecutor::kMemoSlots) << where;
+  }
+}
+
+TEST(Batch, MemoTablesKeepTheirFixedFootprint) {
+  static_assert(ForestExecutor::kMemoSlots *
+                    (sizeof(std::uint64_t) + sizeof(Count)) <=
+                std::size_t{1} << 20);
+  // 1,024 vertices: a two-vertex memo key spans |V|^2 = 2^20 values, so a
+  // table sized from the key space would be 16x larger. The rectangle's
+  // wedge leaf is memoized and hits on ~80% of its lookups here.
+  const Graph g = rmat(10, 8000, 29);
+  ASSERT_GE(g.vertex_count(), 600u);
+  const GraphPi engine(g);
+
+  // Rectangle: cross-checked against the Matcher's listing, which has no
+  // memo. Census4: counted with 2^20-slot tables before they shrank.
+  MatchOptions plain;
+  plain.use_iep = false;
+  Count listed = 0;
+  Matcher(g, engine.plan(patterns::rectangle(), plain))
+      .enumerate([&listed](std::span<const VertexId>) { ++listed; });
+  ASSERT_EQ(listed, 2028571u);
+  const std::pair<std::vector<Pattern>, std::vector<Count>> cases[] = {
+      {{patterns::rectangle()}, {2028571}},
+      {patterns::connected_motifs(4),
+       {35492136, 37467234, 14990932, 2028571, 2256390, 170304}},
+  };
+  for (const auto& [ps, want] : cases) {
+    const PlanForest forest = engine.plan_batch(ps);
+    ASSERT_GE(forest.stats().memoized_leaves, 1u);
+    const ForestExecutor executor(g, forest);
+
+    ForestExecutor::Workspace serial_ws;
+    EXPECT_EQ(executor.count(serial_ws), want);
+    EXPECT_GT(ForestExecutor::memo_stats(serial_ws).lookups, 0u);
+    expect_fixed_memo_footprint(serial_ws, "serial");
+
+    // Four workers with one workspace each, claiming roots the way
+    // count_batch_parallel does.
+    constexpr int kWorkers = 4;
+    std::vector<ForestExecutor::Workspace> workers(kWorkers);
+    for (auto& ws : workers) executor.reset(ws);
+    const auto n = static_cast<std::int64_t>(g.vertex_count());
+#pragma omp parallel for num_threads(kWorkers) \
+    schedule(dynamic, support::kRootChunk)
+    for (std::int64_t v = 0; v < n; ++v)
+      executor.accumulate_root(
+          workers[static_cast<std::size_t>(omp_get_thread_num())],
+          static_cast<VertexId>(v));
+    std::vector<Count> sums(want.size(), 0);
+    for (const auto& ws : workers) {
+      for (std::size_t i = 0; i < sums.size(); ++i) sums[i] += ws.sums[i];
+      expect_fixed_memo_footprint(ws, "worker");
+    }
+    EXPECT_EQ(executor.finalize(sums), want);
+    EXPECT_EQ(count_batch_parallel(g, forest, {kWorkers}), want);
+  }
 }
 
 TEST(Batch, WorkspaceReuseAcrossRuns) {

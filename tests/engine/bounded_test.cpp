@@ -151,8 +151,8 @@ TEST(Bounded, SerialBudgetIsExactAtStrideBoundary) {
 }
 
 TEST(Bounded, SinglePatternCountReportsStatusToo) {
-  // The per-pattern count path (Matcher / count_parallel / one-plan
-  // forest / distributed single) honors the same options.
+  // The per-pattern count path (a one-plan forest on every in-memory
+  // backend, distributed_count) honors the same options.
   const Graph graph = rmat(10, 14000, 17);
   const GraphPi engine(graph);
   const Pattern house = patterns::house();

@@ -1,6 +1,7 @@
 // Randomized cross-backend × cross-ISA differential harness.
 //
-// One reference (the per-pattern serial Matcher under default dispatch),
+// One reference (each pattern counted alone on the serial backend, a
+// one-plan forest, under default dispatch),
 // everything else measured against it bit-for-bit: seeded R-MAT graphs ×
 // the full named pattern library × every execution backend {serial,
 // parallel, generated, distributed lockstep, distributed async with two
@@ -14,7 +15,7 @@
 //
 // cycle(6) is deliberately in the sweep: its IEP plans used to pass the
 // K_n closed-form validation while overcounting non-uniformly on real
-// graphs (divisor x=3 held only on average), making Matcher::count throw
+// graphs (divisor x=3 held only on average), making the serial count throw
 // mid-division. The planner's order-uniformity validation (core/iep.cpp)
 // now rejects those plans; the dedicated regression below pins the fix
 // across backends.
@@ -107,9 +108,9 @@ TEST(Differential, AllBackendsAllIsasAgreeOnSeededRmat) {
   };
   for (const auto& [gname, graph] : graphs) {
     const GraphPi engine(graph);
-    // Reference: one serial interpreted count per pattern, default
-    // dispatch. Independent of the batch executor so the forest paths
-    // below are cross-checked against the single-plan path too.
+    // Reference: one serial count per pattern (a one-plan forest),
+    // default dispatch, so the shared multi-plan forests below are
+    // cross-checked against single-plan runs.
     std::vector<Count> want;
     want.reserve(library.size());
     for (const auto& [name, p] : library) want.push_back(engine.count(p));

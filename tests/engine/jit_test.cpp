@@ -109,7 +109,7 @@ TEST(KernelCache, DisabledJitFallsBackToInterpreter) {
 
 TEST(KernelCache, ListingUsesInterpreter) {
   // find_all has no generated path; the backend silently serves it with
-  // the serial matcher.
+  // the Matcher.
   const Graph g = erdos_renyi(40, 140, 7);
   const GraphPi engine(g);
   const auto serial = engine.find_all(patterns::clique(3));

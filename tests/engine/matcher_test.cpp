@@ -1,16 +1,20 @@
-// Cross-engine consistency: the optimized matcher (any schedule, any
-// restriction set, with/without IEP) must agree with the brute-force
-// oracle on every test graph.
+// Cross-engine consistency: the serial count (a one-plan forest, any
+// schedule, any restriction set, with/without IEP) and the Matcher's
+// listing must agree with the brute-force oracle on every test graph.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/automorphism.h"
 #include "core/configuration.h"
+#include "core/plan_forest.h"
+#include "engine/forest.h"
 #include "engine/graphzero.h"
 #include "engine/matcher.h"
 #include "engine/naive.h"
 #include "engine/oracle.h"
+#include "engine/parallel.h"
+#include "support/exec_control.h"
 #include "test_util.h"
 
 namespace graphpi {
@@ -58,7 +62,7 @@ TEST(Matcher, EveryConfigurationGivesTheSameCount) {
       config.pattern = p;
       config.schedule = sched;
       config.restrictions = rs;
-      EXPECT_EQ(Matcher(g, config).count(), expected)
+      EXPECT_EQ(count_embeddings(g, config), expected)
           << sched.to_string() << " " << to_string(rs);
     }
   }
@@ -76,7 +80,7 @@ TEST(Matcher, Phase1OnlySchedulesAlsoCorrect) {
     config.pattern = p;
     config.schedule = sched;
     config.restrictions = rs;
-    EXPECT_EQ(Matcher(g, config).count(), expected) << sched.to_string();
+    EXPECT_EQ(count_embeddings(g, config), expected) << sched.to_string();
   }
 }
 
@@ -124,50 +128,33 @@ TEST(Matcher, EnumerationEmitsDistinctValidEmbeddings) {
     // automorphic duplicates, the full tuples are unique too.
     EXPECT_TRUE(seen.emplace(emb.begin(), emb.end()).second);
   });
-  EXPECT_EQ(n, matcher.count());
+  EXPECT_EQ(n, count_embeddings(g, config));
   EXPECT_EQ(n, oracle_count(g, p));
 }
 
-TEST(Matcher, PrefixDecompositionIsLossless) {
-  // Summing count_from_prefix over all depth-d prefixes must reproduce
-  // the total, for every d — this is what the distributed runtime relies
-  // on.
-  const Pattern p = patterns::cycle_6_tri();
-  const Graph g = erdos_renyi(40, 160, 31);
-  const Configuration config =
-      plan_configuration(p, GraphStats::of(g), PlannerOptions{});
-  const Matcher matcher(g, config);
-  const Count expected = matcher.count();
-  for (int depth = 1; depth <= 3; ++depth) {
-    Count total = 0;
-    matcher.enumerate_prefixes(depth, [&](std::span<const VertexId> prefix) {
-      total += matcher.count_from_prefix(prefix);
-    });
-    EXPECT_EQ(matcher.finalize_partial_counts(total), expected)
-        << "depth " << depth;
-  }
-}
-
-TEST(Matcher, InvalidPrefixCountsZero) {
-  const Pattern p = patterns::clique(3);
-  const Graph g = cycle_graph(10);  // no triangles at all
-  Configuration config;
-  config.pattern = p;
-  config.schedule = Schedule({0, 1, 2});
-  config.restrictions = generate_restriction_sets(p).front();
-  const Matcher matcher(g, config);
-  // 0 and 5 are not adjacent in C_10.
-  const VertexId bad[] = {0, 5};
-  EXPECT_EQ(matcher.count_from_prefix(bad), 0u);
-  // Duplicate vertex.
-  const VertexId dup[] = {3, 3};
-  EXPECT_EQ(matcher.count_from_prefix(dup), 0u);
-}
-
-TEST(Matcher, SingleVertexAndSingleEdgePatterns) {
+TEST(Matcher, SingleVertexPatternCountsEveryVertexOnEveryPath) {
   const Graph g = erdos_renyi(30, 90, 41);
   const Pattern single(1, std::vector<std::pair<int, int>>{});
   EXPECT_EQ(count_embeddings(g, single), g.vertex_count());
+
+  // A 1-vertex plan is a root count leaf: the per-root paths (parallel,
+  // and serial under an armed control) count each root once.
+  const Configuration config =
+      plan_configuration(single, GraphStats::of(g), PlannerOptions{});
+  EXPECT_EQ(count_parallel(g, config, {2}), g.vertex_count());
+  const PlanForest forest({compile_plan(config)});
+  ForestExecutor::Workspace ws;
+  support::ExecControl control;
+  control.set_root_budget(1000);
+  support::RunReport report;
+  EXPECT_EQ(ForestExecutor(g, forest).count(ws, &control, &report).front(),
+            g.vertex_count());
+  EXPECT_EQ(report.completed_roots, g.vertex_count());
+  Count listed = 0;
+  Matcher(g, config).enumerate([&listed](std::span<const VertexId>) {
+    ++listed;
+  });
+  EXPECT_EQ(listed, g.vertex_count());
 }
 
 }  // namespace

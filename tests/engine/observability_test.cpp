@@ -44,13 +44,14 @@ TEST(Observability, MemoCountersNonZeroOnMotifCensus) {
   EXPECT_GT(delta.counter_or("engine.memo.hits"), 0u);
 }
 
-TEST(Observability, SerialCountFeedsMatcherCounters) {
+// A single-pattern serial count is a one-plan forest run.
+TEST(Observability, SerialCountFeedsForestCounters) {
   const Graph g = census_graph();
   const GraphPi engine(g);
   const Snapshot delta = metered(
       [&] { (void)engine.count(patterns::house()); });
-  EXPECT_EQ(delta.counter_or("engine.matcher.runs"), 1u);
-  EXPECT_EQ(delta.counter_or("engine.matcher.roots_completed"),
+  EXPECT_EQ(delta.counter_or("engine.forest.runs"), 1u);
+  EXPECT_EQ(delta.counter_or("engine.forest.roots_completed"),
             static_cast<std::uint64_t>(g.vertex_count()));
   EXPECT_GT(delta.counter_or("engine.iep.terms_evaluated"), 0u);
 }

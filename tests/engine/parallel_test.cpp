@@ -11,6 +11,7 @@
 
 #include "api/graphpi.h"
 #include "core/configuration.h"
+#include "engine/forest.h"
 #include "engine/matcher.h"
 #include "engine/parallel.h"
 #include "test_util.h"
@@ -28,7 +29,7 @@ TEST(Parallel, CountsEqualSerialAcrossPatterns) {
   for (const auto& p : testing::assorted_patterns()) {
     const Configuration config =
         plan_configuration(p, GraphStats::of(g), PlannerOptions{});
-    EXPECT_EQ(count_parallel(g, config), Matcher(g, config).count())
+    EXPECT_EQ(count_parallel(g, config), count_embeddings(g, config))
         << p.to_string();
   }
 }
@@ -41,7 +42,7 @@ TEST(Parallel, IepConfigurationsSupported) {
        {patterns::house(), patterns::cycle_6_tri(), patterns::pentagon()}) {
     const Configuration config =
         plan_configuration(p, GraphStats::of(g), planner);
-    const Count serial = Matcher(g, config).count();
+    const Count serial = count_embeddings(g, config);
     ParallelRunStats stats;
     EXPECT_EQ(count_parallel(g, config, ParallelOptions{}, &stats), serial)
         << p.to_string();
@@ -156,7 +157,7 @@ TEST(Parallel, EnumerationMatchesSerialSet) {
         opt);
     EXPECT_EQ(parallel, serial) << threads << " threads";
   }
-  EXPECT_EQ(serial.size(), Matcher(g, config).count());
+  EXPECT_EQ(serial.size(), count_embeddings(g, config));
 }
 
 TEST(Parallel, DeterministicAcrossThreadCounts) {
@@ -167,7 +168,7 @@ TEST(Parallel, DeterministicAcrossThreadCounts) {
       planner.use_iep = use_iep;
       const Configuration config =
           plan_configuration(p, GraphStats::of(g), planner);
-      const Count serial = Matcher(g, config).count();
+      const Count serial = count_embeddings(g, config);
       for (int threads : {1, 2, 4}) {
         ParallelOptions opt;
         opt.num_threads = threads;
@@ -176,49 +177,6 @@ TEST(Parallel, DeterministicAcrossThreadCounts) {
       }
     }
   }
-}
-
-TEST(Parallel, WorkspacesAreCreatedOncePerThreadNotPerTask) {
-  const Graph g = clustered_power_law(300, 1800, 2.3, 0.4, 77);
-  const Configuration config = plan_configuration(
-      patterns::house(), GraphStats::of(g), PlannerOptions{});
-
-  ParallelOptions opt;
-  opt.num_threads = 2;
-  const std::uint64_t before = Matcher::workspace_constructions();
-  ParallelRunStats stats;
-  (void)count_parallel(g, config, opt, &stats);
-  const std::uint64_t created = Matcher::workspace_constructions() - before;
-
-  // Many root tasks, but only one workspace per worker thread.
-  ASSERT_GT(stats.tasks, 100u);
-  EXPECT_LE(created, static_cast<std::uint64_t>(opt.num_threads));
-}
-
-TEST(Matcher, IncrementalPrefixReuseMatchesFreshWorkspaces) {
-  const Graph g = rmat(8, 1100, 53);
-  const Configuration config = plan_configuration(
-      patterns::house(), GraphStats::of(g), PlannerOptions{});
-  const Matcher matcher(g, config);
-
-  std::vector<std::vector<VertexId>> prefixes;
-  matcher.enumerate_prefixes(2, [&](std::span<const VertexId> p) {
-    prefixes.emplace_back(p.begin(), p.end());
-    // Adversarial neighbors: swapped pairs and clones that often violate
-    // edges or restrictions, interleaved between valid shared-prefix runs.
-    prefixes.push_back({p[1], p[0]});
-    prefixes.push_back({p[0], p[0]});
-  });
-
-  Count reused = 0, fresh = 0;
-  Matcher::Workspace shared_ws;
-  for (const auto& p : prefixes) reused += matcher.count_from_prefix(shared_ws, p);
-  for (const auto& p : prefixes) {
-    Matcher::Workspace ws;
-    fresh += matcher.count_from_prefix(ws, p);
-  }
-  EXPECT_EQ(reused, fresh);
-  EXPECT_GT(fresh, 0u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include "core/configuration.h"
 #include "core/pattern_library.h"
-#include "engine/matcher.h"
+#include "engine/forest.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/vertex_set.h"
@@ -73,7 +73,7 @@ TEST(HubIndex, AutoThresholdIndexesHighDegreeStar) {
   EXPECT_EQ(g.hub_count(), 1u);
 }
 
-TEST(HubIndex, MatcherCountsIdenticalWithAndWithoutAcceleration) {
+TEST(HubIndex, CountsIdenticalWithAndWithoutAcceleration) {
   const Graph fast = rmat(9, 2500, 11);
   const Graph slow = fast;
   slow.build_hub_index(0xffffffffu);  // no rows
@@ -87,13 +87,13 @@ TEST(HubIndex, MatcherCountsIdenticalWithAndWithoutAcceleration) {
       planner.use_iep = use_iep;
       const Configuration config =
           plan_configuration(p, GraphStats::of(slow), planner);
-      const Count baseline = Matcher(slow, config).count();
-      EXPECT_EQ(Matcher(fast, config).count(), baseline)
+      const Count baseline = count_embeddings(slow, config);
+      EXPECT_EQ(count_embeddings(fast, config), baseline)
           << p.to_string() << " iep=" << use_iep;
 
       // Hub rows combined with the forced scalar merge kernels.
       force_scalar_kernels(true);
-      EXPECT_EQ(Matcher(fast, config).count(), baseline)
+      EXPECT_EQ(count_embeddings(fast, config), baseline)
           << p.to_string() << " iep=" << use_iep << " forced scalar";
       force_scalar_kernels(false);
     }

@@ -163,6 +163,46 @@ TEST(ServiceSocket, ServedCountsMatchDirectEngine) {
   }
 }
 
+// completed_roots counts root vertices fully processed, so a complete run
+// reports |V| on every in-memory backend and in the service response,
+// with or without an armed control (a deadline that never fires).
+TEST(CompletedRoots, CompleteRunsReportEveryRootOnEveryPath) {
+  ServerFixture fx;
+  const GraphPi engine(fx.graph);
+  const auto roots = static_cast<std::uint64_t>(fx.graph.vertex_count());
+  const Backend backends[] = {Backend::kSerial, Backend::kParallel,
+                              Backend::kGenerated};
+  for (const Backend backend : backends) {
+    for (const bool armed : {false, true}) {
+      MatchOptions options;
+      options.backend = backend;
+      options.threads = 2;
+      if (armed) options.timeout_ms = 6e5;
+      support::RunReport report;
+      (void)engine.count(patterns::house(), options, &report);
+      EXPECT_EQ(report.status, support::RunStatus::kOk);
+      EXPECT_EQ(report.completed_roots, roots)
+          << "backend " << static_cast<int>(backend) << " armed " << armed;
+    }
+  }
+
+  Client c(fx.server.port());
+  ASSERT_TRUE(c.ok());
+  for (const char* backend : {"serial", "parallel", "generated"}) {
+    for (const char* bound : {"", ",\"timeout_ms\":600000"}) {
+      ASSERT_TRUE(c.send_line(std::string("{\"id\":1,\"pattern\":\"house\","
+                                          "\"backend\":\"") +
+                              backend + "\"" + bound + "}"));
+      std::string line;
+      ASSERT_TRUE(c.read_line(&line));
+      const json::Value v = parse_response(line);
+      ASSERT_EQ(status_of(v), "ok") << line;
+      EXPECT_EQ(v.get("completed_roots")->as_uint64().value_or(0), roots)
+          << line;
+    }
+  }
+}
+
 TEST(ServiceSocket, PlanCacheHitsAcrossConnections) {
   ServerFixture fx;
   for (int round = 0; round < 2; ++round) {
