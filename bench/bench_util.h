@@ -61,9 +61,9 @@ struct BudgetedRun {
 };
 
 /// Counts `config`'s embeddings serially (a one-plan forest) under a
-/// wall-clock deadline polled after every root vertex (count_roots over
-/// the whole vertex range), so the overshoot is bounded by one root
-/// subtree. Exact when it completes.
+/// wall-clock deadline polled after every root vertex (an armed
+/// ForestExecutor::count walks the vertex range root by root), so the
+/// overshoot is bounded by one root subtree. Exact when it completes.
 inline BudgetedRun count_with_budget(const Graph& g,
                                      const Configuration& config,
                                      double budget_seconds) {

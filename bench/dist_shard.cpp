@@ -57,7 +57,6 @@ Record run_arm(const Graph& graph, const PlanForest& forest, int nodes,
                dist::ExecMode exec, bool verbose) {
   dist::ClusterOptions options;
   options.nodes = nodes;
-  options.task_depth = 2;
   options.exec = exec;
   dist::ClusterStats stats;
   double best = -1.0;

@@ -6,7 +6,6 @@
 //
 //   ./distributed_count [nodes] [dataset] [scale] [pattern_index]
 //                       [--nodes N] [--partition hash|range]
-//                       [--task-depth D]
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
   std::string dataset = "patents";
   double scale = 0.3;
   int pattern_index = 1;
-  int task_depth = 2;  // fine-grained tasks (paper: outer two loops)
   dist::PartitionStrategy partition = dist::PartitionStrategy::kHash;
 
   int positional = 0;
@@ -33,8 +31,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
       nodes = std::atoi(argv[++i]);
-    } else if (arg == "--task-depth" && i + 1 < argc) {
-      task_depth = std::atoi(argv[++i]);
     } else if (arg.rfind("--partition=", 0) == 0) {
       if (!dist::parse_partition(arg.substr(12), partition)) {
         std::cerr << "unknown partition strategy: " << arg << "\n";
@@ -65,8 +61,7 @@ int main(int argc, char** argv) {
 
   std::cout << "pattern P" << pattern_index << " on " << dataset << " (scale "
             << scale << "), " << nodes << " sharded nodes, "
-            << dist::to_string(partition) << " partition, task depth "
-            << task_depth << "\n";
+            << dist::to_string(partition) << " partition\n";
 
   // Reference run on one node holding the whole graph.
   support::Timer timer;
@@ -75,7 +70,6 @@ int main(int argc, char** argv) {
 
   dist::ClusterOptions options;
   options.nodes = nodes;
-  options.task_depth = task_depth;
   options.partition = partition;
   dist::ClusterStats stats;
   timer.reset();
@@ -90,19 +84,18 @@ int main(int argc, char** argv) {
   std::cout << "embeddings: " << distributed << " (serial " << serial_secs
             << "s, sharded sim wall " << dist_secs
             << "s on one physical core)\n"
-            << "tasks: " << stats.total_tasks
-            << ", messages: " << stats.messages << " (" << stats.bytes
+            << "messages: " << stats.messages << " (" << stats.bytes
             << " B), continuations: " << stats.continuation_messages << " ("
             << stats.continuation_bytes << " B, "
             << stats.shipped_set_vertices
             << " candidate vertices shipped), replication factor: "
             << stats.replication_factor << "\n";
 
-  support::Table table({"node", "owned", "ghosts", "tasks", "busy(s)",
-                        "sent msgs", "sent B"});
-  for (std::size_t i = 0; i < stats.tasks_per_node.size(); ++i)
+  support::Table table(
+      {"node", "owned roots", "ghosts", "busy(s)", "sent msgs", "sent B"});
+  for (std::size_t i = 0; i < stats.owned_per_node.size(); ++i)
     table.add(i, stats.owned_per_node[i], stats.ghosts_per_node[i],
-              stats.tasks_per_node[i], stats.seconds_per_node[i],
+              stats.seconds_per_node[i],
               stats.sent_messages_per_node[i], stats.sent_bytes_per_node[i]);
   table.print();
 

@@ -11,7 +11,7 @@
 // "compare" to time both and print the speedup.
 //
 //   ./motif_census [dataset] [scale] [k] [batch|per-pattern|compare]
-//                  [--nodes N] [--partition hash|range] [--task-depth D]
+//                  [--nodes N] [--partition hash|range]
 //
 // Defaults: mico stand-in at scale 0.3, k = 4, batch. With --nodes N the
 // batched census runs on the sharded distributed backend (one sharded
@@ -47,15 +47,12 @@ int main(int argc, char** argv) {
   using namespace graphpi;
 
   int nodes = 0;  // 0 = in-process serial batch
-  int task_depth = 1;
   dist::PartitionStrategy partition = dist::PartitionStrategy::kHash;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--nodes" && i + 1 < argc) {
       nodes = std::atoi(argv[++i]);
-    } else if (arg == "--task-depth" && i + 1 < argc) {
-      task_depth = std::atoi(argv[++i]);
     } else if (arg.rfind("--partition=", 0) == 0) {
       if (!dist::parse_partition(arg.substr(12), partition)) {
         std::cerr << "unknown partition strategy: " << arg << "\n";
@@ -103,7 +100,6 @@ int main(int argc, char** argv) {
     if (nodes > 0) {
       batch_options.backend = Backend::kDistributed;
       batch_options.nodes = nodes;
-      batch_options.task_depth = task_depth;
       batch_options.partition = partition;
       batch_options.cluster_stats = &cluster;
     }
@@ -116,9 +112,9 @@ int main(int argc, char** argv) {
               << " shared IEP suffix sets\n";
     if (nodes > 0)
       std::cout << "sharded: " << nodes << " nodes ("
-                << dist::to_string(partition) << "), tasks "
-                << cluster.total_tasks << ", messages " << cluster.messages
-                << " (" << cluster.bytes << " B), shipped candidates "
+                << dist::to_string(partition) << "), messages "
+                << cluster.messages << " (" << cluster.bytes
+                << " B), shipped candidates "
                 << cluster.shipped_set_vertices << " vertices, replication "
                 << cluster.replication_factor << "\n";
   }

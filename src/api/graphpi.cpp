@@ -5,7 +5,6 @@
 #include "core/automorphism.h"
 #include "engine/forest.h"
 #include "engine/jit.h"
-#include "support/check.h"
 #include "support/timer.h"
 
 namespace graphpi {
@@ -54,7 +53,6 @@ dist::ClusterOptions cluster_options(const MatchOptions& options,
                                      const support::ExecControl* control) {
   dist::ClusterOptions copt;
   copt.nodes = options.nodes;
-  copt.task_depth = options.task_depth;
   copt.partition = options.partition;
   copt.faults = options.faults;
   copt.control = control;
@@ -108,11 +106,8 @@ PlanForest GraphPi::plan_batch(std::span<const Pattern> patterns,
                                const MatchOptions& options) const {
   std::vector<Plan> plans;
   plans.reserve(patterns.size());
-  for (const Pattern& p : patterns) {
-    GRAPHPI_CHECK_MSG(p.size() >= 2,
-                      "count_batch requires patterns with >= 2 vertices");
+  for (const Pattern& p : patterns)
     plans.push_back(compile_plan(plan(p, options)));
-  }
   return PlanForest(std::move(plans));
 }
 

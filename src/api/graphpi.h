@@ -65,10 +65,8 @@ struct MatchOptions {
   /// Worker threads for the parallel and generated backends (0 = OpenMP
   /// runtime default). Both split the work by root vertex.
   int threads = 0;
-  /// Distributed backend only: logical nodes, and the schedule depth at
-  /// which a node cuts its descent into tasks (dist::ClusterOptions).
+  /// Distributed backend only: logical nodes (dist::ClusterOptions).
   int nodes = 2;
-  int task_depth = 1;
   /// How the distributed backend partitions the data graph into per-node
   /// CSR shards (dist/shard.h).
   dist::PartitionStrategy partition = dist::PartitionStrategy::kHash;
@@ -84,7 +82,7 @@ struct MatchOptions {
   /// (0 = unbounded; see dist::ClusterOptions::mailbox_capacity).
   int dist_mailbox_capacity = 1024;
   /// Observability out-param: when non-null, the distributed backend
-  /// writes the statistics of the call here — tasks, messages, serialized
+  /// writes the statistics of the call here — messages, serialized
   /// bytes, shipped candidate vertices, per-node load, and the shard
   /// shape. Each public call overwrites (a batch spanning several 64-plan
   /// forest chunks reports its chunks' aggregate). Ignored by the serial
@@ -167,9 +165,8 @@ class GraphPi {
   /// vertex scan, common candidate intersections, common IEP suffix sets
   /// — are extended once for all patterns. Results are indexed like
   /// `patterns`; duplicates are allowed and each gets its own counter.
-  /// Patterns must have >= 2 vertices. Every backend runs batched: the
-  /// distributed backend executes the forest as one sharded batch
-  /// traversal (dist/runtime.h).
+  /// Every backend runs batched: the distributed backend executes the
+  /// forest as one sharded batch traversal (dist/runtime.h).
   ///
   /// Bounded execution spans the whole batch: one deadline covers every
   /// 64-plan chunk (a work budget applies per chunk), `report` (optional)

@@ -533,7 +533,6 @@ std::vector<std::uint8_t> ContinuationMsg::encode() const {
   w.u32(trie_node);
   w.u8(static_cast<std::uint8_t>(target));
   w.u16(item);
-  w.u8(depth_limit);
   w.u64(mask);
   w.u8(folded);
   w.u8(has_partial ? 1 : 0);
@@ -552,7 +551,6 @@ bool ContinuationMsg::try_decode(std::span<const std::uint8_t> payload,
   m.trie_node = r.u32();
   const std::uint8_t target_raw = r.u8();
   m.item = r.u16();
-  m.depth_limit = r.u8();
   m.mask = r.u64();
   m.folded = r.u8();
   m.has_partial = r.u8() != 0;
@@ -587,7 +585,6 @@ std::uint64_t ContinuationMsg::shipped_set_vertices() const noexcept {
 std::vector<std::uint8_t> PartialCountsMsg::encode() const {
   WireWriter w;
   w.count_span(sums);
-  w.u64(tasks);
   return w.take();
 }
 
@@ -596,7 +593,6 @@ bool PartialCountsMsg::try_decode(std::span<const std::uint8_t> payload,
   WireReader r(payload);
   PartialCountsMsg m;
   r.count_vec(m.sums);
-  m.tasks = r.u64();
   if (!r.done()) return false;
   out = std::move(m);
   return true;

@@ -462,14 +462,9 @@ struct ContinuationMsg {
     kIepChain = 2,   ///< building suffix set `item`; done_sets carries the
                      ///< node's already-completed suffix sets
   };
-  static constexpr std::uint8_t kNoDepthLimit = 0xff;
-
   std::uint32_t trie_node = 0;
   Target target = Target::kExtension;
   std::uint16_t item = 0;
-  /// Task-granularity cutoff still in force for the descent (see
-  /// ClusterOptions::task_depth); kNoDepthLimit once past generation.
-  std::uint8_t depth_limit = kNoDepthLimit;
   std::uint64_t mask = 0;  ///< active-plan bitmask at the trie node
   /// Bit i set = predecessor_depths[i] already folded into `partial`.
   std::uint8_t folded = 0;
@@ -493,10 +488,9 @@ struct ContinuationMsg {
 };
 
 /// A node's end-of-run report (MessageKind::kPartialCounts): undivided
-/// per-plan sums plus how many tasks it executed.
+/// per-plan sums.
 struct PartialCountsMsg {
   std::vector<Count> sums;
-  std::uint64_t tasks = 0;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static bool try_decode(std::span<const std::uint8_t> payload,

@@ -1,10 +1,8 @@
 #include "dist/runtime.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <climits>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -47,69 +45,54 @@ bool parse_exec_mode(std::string_view name, ExecMode& out) noexcept {
 namespace {
 
 using PlanMask = PlanForest::PlanMask;
+using Step = ForestExecutor::Step;
 using Target = ContinuationMsg::Target;
 
-constexpr std::uint8_t kNoLimit = ContinuationMsg::kNoDepthLimit;
+static_assert(static_cast<int>(Step::kExtension) ==
+                  static_cast<int>(Target::kExtension) &&
+              static_cast<int>(Step::kCountLeaf) ==
+                  static_cast<int>(Target::kCountLeaf) &&
+              static_cast<int>(Step::kIepNode) ==
+                  static_cast<int>(Target::kIepChain));
+static_assert(ForestExecutor::kNotResident == Shard::kNotResident);
 
-/// A node-local unit of work: run the subtree rooted at `trie_node` under
-/// `mask` with the first `depth` schedule positions already mapped. Tasks
-/// are created when the descent from a root crosses the task_depth cutoff
-/// and never travel between nodes by themselves.
-struct LocalTask {
-  std::uint32_t trie_node = 0;
-  PlanMask mask = 0;
-  std::uint8_t depth = 0;
-  VertexId mapped[Pattern::kMaxVertices] = {};
+/// Where a chain that must leave its node goes: the lockstep executor
+/// sends it straight through the channel, the async executor buffers it
+/// in a per-destination coalescer and flushes batch frames. What is
+/// shipped — and therefore every count — is the same.
+class Outbox {
+ public:
+  virtual void post(int from, int dest, const ContinuationMsg& m) = 0;
+
+ protected:
+  ~Outbox() = default;
 };
 
-/// How a completed-but-nonresident walk state leaves a walker: the
-/// lockstep executor sends it straight through the channel, the async
-/// executor buffers it in a per-destination coalescer and flushes batch
-/// frames. The walk itself — and therefore every count — is identical.
-class Shipper {
+/// One worker of a logical node: a workspace of the node's shard executor
+/// plus its shipping hook. The executor walks the trie and hands off every
+/// step that needs a non-resident adjacency; here such a step becomes a
+/// continuation chain that folds in the adjacencies resident on the
+/// current node and ships the rest to an owner. A chain completed on a
+/// node adds its count there or resumes the walk through the executor.
+class ShardWorker final : public ForestExecutor::Shipper {
  public:
-  virtual ~Shipper() = default;
-  virtual void ship(int from, int dest, const ContinuationMsg& m) = 0;
-};
-
-/// One trie-walking execution context bound to a single shard: the
-/// workspace buffers (one allocation per walker for the whole run,
-/// mirroring ForestExecutor::Workspace), the undivided per-plan sums, and
-/// the local task queue. Both executors drive instances of this class, so
-/// the sharded walk semantics live in exactly one place.
-class ShardWalk {
- public:
-  ShardWalk(const ShardedGraph& sharded, const PlanForest& forest, int node,
-            std::uint8_t cutoff, Shipper& shipper)
+  ShardWorker(const ShardedGraph& sharded, const ForestExecutor& executor,
+              int node, Outbox& outbox)
       : sharded_(&sharded),
-        forest_(&forest),
         shard_(&sharded.shard(node)),
+        executor_(&executor),
         node_(node),
-        cutoff_(cutoff),
-        shipper_(&shipper) {
-    sums.assign(forest.plans().size(), 0);
+        outbox_(&outbox) {
+    executor.reset(ws_);
+    ws_.shipper = this;
   }
+  ShardWorker(const ShardWorker&) = delete;  // ws_.shipper points here
+  ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Executes the root extensions for owned vertex `v0`; descents past
-  /// the task cutoff are queued on `tasks` (drain with run_queued_task).
+  /// Walks the whole forest from owned root `v0`.
   void run_root(VertexId v0) {
-    mapped_[0] = v0;
-    // Root extensions are always unconstrained (no predecessors or
-    // bounds can reference depth < 0), so any owned v0 is valid.
-    for (const PlanForest::Extension& ext : forest_->root().extensions)
-      exec_node(static_cast<std::uint32_t>(ext.child),
-                ext.mask & forest_->all_plans_mask(), cutoff_);
-  }
-
-  /// Pops and runs one queued task; false when the queue is empty.
-  bool run_queued_task() {
-    if (tasks.empty()) return false;
-    const LocalTask task = tasks.front();
-    tasks.pop_front();
-    std::copy(task.mapped, task.mapped + task.depth, mapped_);
-    ++tasks_run;
-    exec_node(task.trie_node, task.mask, kNoLimit);
-    return true;
+    executor_->accumulate_root(ws_, v0);
+    ++roots_;
   }
 
   /// Handles an arrived continuation payload (decode + advance/ship).
@@ -123,193 +106,42 @@ class ShardWalk {
       ++decode_failures;
       return;
     }
-    std::copy(m.mapped.begin(), m.mapped.end(), mapped_);
+    std::copy(m.mapped.begin(), m.mapped.end(), ws_.mapped);
     advance_chain(m);
   }
 
-  std::vector<Count> sums;
-  std::deque<LocalTask> tasks;
-  std::uint64_t tasks_run = 0;
+  void hand_off(const ForestExecutor::HandOff& h) override {
+    ContinuationMsg m;
+    m.trie_node = h.trie_node;
+    m.target = static_cast<Target>(h.step);
+    m.item = h.item;
+    m.mask = h.mask;
+    m.mapped.assign(h.mapped.begin(), h.mapped.end());
+    if (h.step == Step::kIepNode)
+      m.done_sets.resize(trie_node(m).suffix_defs.size());
+    advance_chain(m);
+  }
+
+  /// Undivided per-plan sums of everything this worker completed.
+  [[nodiscard]] const std::vector<Count>& sums() const { return ws_.sums; }
+
+  /// Publishes the run's memo, IEP and completed-root tallies; call once
+  /// per run, after the worker stopped.
+  void flush_metrics() { executor_->flush_metrics(ws_, roots_); }
+
   std::uint64_t shipped_continuations = 0;
   std::uint64_t shipped_set_vertices = 0;
   std::uint64_t decode_failures = 0;
 
  private:
-  // -- trie walk -----------------------------------------------------------
+  [[nodiscard]] const PlanForest::Node& trie_node(
+      const ContinuationMsg& m) const {
+    return executor_->forest().nodes()[m.trie_node];
+  }
 
   [[nodiscard]] static std::uint8_t full_fold_mask(std::size_t preds) {
     return static_cast<std::uint8_t>((1u << preds) - 1);
   }
-
-  [[nodiscard]] bool all_resident(std::span<const int> preds) const {
-    for (int p : preds)
-      if (!shard_->is_resident(mapped_[p])) return false;
-    return true;
-  }
-
-  void exec_node(std::uint32_t node_idx, PlanMask active, std::uint8_t limit) {
-    const PlanForest::Node& node =
-        forest_->nodes()[static_cast<std::size_t>(node_idx)];
-    if (limit != kNoLimit && node.depth >= static_cast<int>(limit)) {
-      LocalTask task;
-      task.trie_node = node_idx;
-      task.mask = active;
-      task.depth = static_cast<std::uint8_t>(node.depth);
-      std::copy(mapped_, mapped_ + node.depth, task.mapped);
-      tasks.push_back(task);
-      return;
-    }
-
-    // Leaves first: they may use cand[depth]/tmp[depth], which the
-    // extension loop below rebuilds (same order as ForestExecutor).
-    if (!node.count_leaves.empty() || !node.iep_leaves.empty())
-      eval_leaves(node_idx, active);
-
-    const int depth = node.depth;
-    const std::span<const VertexId> mapped{mapped_,
-                                           static_cast<std::size_t>(depth)};
-    for (std::size_t e = 0; e < node.extensions.size(); ++e) {
-      const PlanForest::Extension& ext = node.extensions[e];
-      if ((ext.mask & active) == 0) continue;
-      const ResolvedBranches rb = resolve_branches(mapped_, ext, active);
-      if (rb.live == 0) continue;
-
-      if (all_resident(ext.predecessor_depths)) {
-        const std::span<const VertexId> cands = exec::build_candidates(
-            shard_->view(), ext.predecessor_depths, mapped, cand_[depth],
-            tmp_[depth], all_vertices_);
-        run_extension_loop(node_idx, e, rb, cands, limit);
-      } else {
-        ContinuationMsg m;
-        m.trie_node = node_idx;
-        m.target = Target::kExtension;
-        m.item = static_cast<std::uint16_t>(e);
-        m.depth_limit = limit;
-        m.mask = active;
-        m.mapped.assign(mapped_, mapped_ + depth);
-        advance_chain(m);
-      }
-    }
-  }
-
-  void eval_leaves(std::uint32_t node_idx, PlanMask active) {
-    const PlanForest::Node& node =
-        forest_->nodes()[static_cast<std::size_t>(node_idx)];
-    const int depth = node.depth;
-    const std::span<const VertexId> mapped{mapped_,
-                                           static_cast<std::size_t>(depth)};
-
-    for (std::size_t li = 0; li < node.count_leaves.size(); ++li) {
-      const PlanForest::CountLeaf& leaf = node.count_leaves[li];
-      if (((active >> leaf.plan) & 1) == 0) continue;
-      const exec::Window w = exec::bounded_window(mapped_, leaf);
-      if (w.empty()) continue;
-      if (all_resident(leaf.predecessor_depths)) {
-        const Count raw = exec::count_intersection_bounded(
-            shard_->view(), leaf.predecessor_depths, mapped, w.lo_inclusive,
-            w.hi_exclusive, cand_[depth], tmp_[depth]);
-        sums[static_cast<std::size_t>(leaf.plan)] +=
-            raw - exec::count_used_in_intersection(
-                      shard_->view(), leaf.predecessor_depths, mapped,
-                      w.lo_inclusive, w.hi_exclusive);
-      } else {
-        ContinuationMsg m;
-        m.trie_node = node_idx;
-        m.target = Target::kCountLeaf;
-        m.item = static_cast<std::uint16_t>(li);
-        m.mask = active;
-        m.mapped.assign(mapped_, mapped_ + depth);
-        advance_chain(m);
-      }
-    }
-
-    if (node.iep_leaves.empty()) return;
-    PlanMask iep_active = 0;
-    for (const PlanForest::IepLeaf& leaf : node.iep_leaves)
-      if (((active >> leaf.plan) & 1) != 0)
-        iep_active |= PlanMask{1} << leaf.plan;
-    if (iep_active == 0) return;
-
-    // The sharded executor has no memo tables, so it builds every DEMANDED
-    // set (suffix_def_demand_masks), not just the ForestExecutor's
-    // materialize subset.
-    const std::vector<PlanMask>& demand = node.suffix_def_demand_masks;
-    bool local = true;
-    for (std::size_t i = 0; i < node.suffix_defs.size() && local; ++i)
-      if ((demand[i] & active) != 0 && !all_resident(node.suffix_defs[i]))
-        local = false;
-
-    if (local) {
-      // Every needed suffix set is computable on this shard: exactly the
-      // ForestExecutor evaluation (shared sets, then per-plan terms).
-      if (suffix_sets_.size() < node.suffix_defs.size())
-        suffix_sets_.resize(node.suffix_defs.size());
-      for (std::size_t i = 0; i < node.suffix_defs.size(); ++i)
-        if ((demand[i] & active) != 0)
-          exec::build_suffix_set(shard_->view(), node.suffix_defs[i], mapped,
-                                 suffix_sets_[i], scratch_a_);
-      for (const PlanForest::IepLeaf& leaf : node.iep_leaves) {
-        if (((active >> leaf.plan) & 1) == 0) continue;
-        const Plan& plan =
-            forest_->plans()[static_cast<std::size_t>(leaf.plan)];
-        sums[static_cast<std::size_t>(leaf.plan)] +=
-            exec::evaluate_iep_terms(plan.iep.terms, suffix_sets_,
-                                     leaf.set_ids, scratch_a_, scratch_b_);
-      }
-      return;
-    }
-
-    // Some suffix set needs a non-resident adjacency: build them as a
-    // shipped chain carrying the completed sets along.
-    ContinuationMsg m;
-    m.trie_node = node_idx;
-    m.target = Target::kIepChain;
-    m.item = 0;
-    m.mask = active;
-    m.mapped.assign(mapped_, mapped_ + depth);
-    m.done_sets.resize(node.suffix_defs.size());
-    advance_chain(m);
-  }
-
-  /// Candidate loop of one extension over already-resolved branches: the
-  /// loop runs the union window and narrows the active-plan mask per
-  /// candidate (same model as ForestExecutor; `rb` must come from
-  /// resolve_branches under the current mapping and have live > 0).
-  void run_extension_loop(std::uint32_t node_idx, std::size_t ext_idx,
-                          const ResolvedBranches& rb,
-                          std::span<const VertexId> cands,
-                          std::uint8_t limit) {
-    const PlanForest::Node& node =
-        forest_->nodes()[static_cast<std::size_t>(node_idx)];
-    const PlanForest::Extension& ext = node.extensions[ext_idx];
-    const int depth = node.depth;
-    const std::span<const VertexId> mapped{mapped_,
-                                           static_cast<std::size_t>(depth)};
-
-    const auto range =
-        rb.union_window.unbounded()
-            ? cands
-            : trim_to_window(cands, rb.union_window.lo_inclusive,
-                             rb.union_window.hi_exclusive);
-    const auto child = static_cast<std::uint32_t>(ext.child);
-    if (rb.live == 1) {
-      const PlanMask next = rb.masks[0];
-      for (VertexId v : range) {
-        if (exec::already_used(mapped, v)) continue;
-        mapped_[depth] = v;
-        exec_node(child, next, limit);
-      }
-      return;
-    }
-    for (VertexId v : range) {
-      const PlanMask next = rb.mask_at(v);
-      if (next == 0 || exec::already_used(mapped, v)) continue;
-      mapped_[depth] = v;
-      exec_node(child, next, limit);
-    }
-  }
-
-  // -- continuation chains -------------------------------------------------
 
   /// Folds every locally-resident, not-yet-folded predecessor of the
   /// chain's current item into m.partial (first fold materializes the
@@ -319,7 +151,7 @@ class ShardWalk {
                   ContinuationMsg& m) {
     for (std::size_t i = 0; i < preds.size(); ++i) {
       if (m.folded & (1u << i)) continue;
-      const VertexId pv = mapped_[preds[i]];
+      const VertexId pv = ws_.mapped[preds[i]];
       if (!shard_->is_resident(pv)) continue;
       if (!m.has_partial) {
         const auto adj = trim_to_window(shard_->neighbors(pv),
@@ -354,31 +186,32 @@ class ShardWalk {
                       "resident, and owners always hold their vertices");
     ++shipped_continuations;
     shipped_set_vertices += m.shipped_set_vertices();
-    shipper_->ship(node_, dest, m);
+    outbox_->post(node_, dest, m);
   }
 
   /// Advances a chain on this node as far as local residency allows:
-  /// completes the item (running the dependent loop / count / IEP
-  /// evaluation here) or ships the remainder. mapped_ must already hold
-  /// m.mapped.
+  /// completes the item (resuming the extension's loop, adding the count
+  /// or evaluating the IEP terms here) or ships the remainder. ws_.mapped
+  /// must already hold m.mapped.
   void advance_chain(ContinuationMsg& m) {
-    const PlanForest::Node& node =
-        forest_->nodes()[static_cast<std::size_t>(m.trie_node)];
+    const PlanForest::Node& node = trie_node(m);
     switch (m.target) {
       case Target::kExtension: {
-        const PlanForest::Extension& ext = node.extensions[m.item];
-        const ResolvedBranches rb = resolve_branches(mapped_, ext, m.mask);
-        if (rb.live == 0) return;
-        if (!fold_local(ext.predecessor_depths, rb.union_window, m)) {
-          ship(ext.predecessor_depths, m);
+        const exec::Window clamp =
+            executor_->extension_window(ws_.mapped, m.trie_node, m.item, m.mask);
+        if (clamp.empty()) return;
+        if (!fold_local(node.extensions[m.item].predecessor_depths, clamp,
+                        m)) {
+          ship(node.extensions[m.item].predecessor_depths, m);
           return;
         }
-        run_extension_loop(m.trie_node, m.item, rb, m.partial, m.depth_limit);
+        executor_->resume_extension(ws_, m.trie_node, m.item, m.mask,
+                                    m.partial);
         return;
       }
       case Target::kCountLeaf: {
         const PlanForest::CountLeaf& leaf = node.count_leaves[m.item];
-        const exec::Window w = exec::bounded_window(mapped_, leaf);
+        const exec::Window w = exec::bounded_window(ws_.mapped, leaf);
         if (w.empty()) return;
         if (!fold_local(leaf.predecessor_depths, w, m)) {
           ship(leaf.predecessor_depths, m);
@@ -389,22 +222,22 @@ class ShardWalk {
         Count used = 0;
         for (VertexId v : m.mapped)
           if (contains(m.partial, v)) ++used;
-        sums[static_cast<std::size_t>(leaf.plan)] +=
+        ws_.sums[static_cast<std::size_t>(leaf.plan)] +=
             static_cast<Count>(m.partial.size()) - used;
         return;
       }
       case Target::kIepChain:
-        advance_iep_chain(m);
+        advance_iep_chain(node, m);
         return;
     }
     GRAPHPI_CHECK_MSG(false, "unknown continuation target");
   }
 
-  void advance_iep_chain(ContinuationMsg& m) {
-    const PlanForest::Node& node =
-        forest_->nodes()[static_cast<std::size_t>(m.trie_node)];
+  /// Builds every suffix set an active plan demands, carrying the
+  /// completed ones along, then evaluates every active plan's terms.
+  void advance_iep_chain(const PlanForest::Node& node, ContinuationMsg& m) {
     const std::vector<PlanMask>& demand = node.suffix_def_demand_masks;
-    const std::span<const VertexId> mapped{mapped_, m.mapped.size()};
+    const std::span<const VertexId> mapped{ws_.mapped, m.mapped.size()};
     while (m.item < node.suffix_defs.size()) {
       if ((demand[m.item] & m.mask) == 0) {
         ++m.item;  // no active plan consumes this set
@@ -433,75 +266,94 @@ class ShardWalk {
       m.folded = 0;
       ++m.item;
     }
-    // All needed sets materialized: evaluate every active plan's terms.
     for (const PlanForest::IepLeaf& leaf : node.iep_leaves) {
       if (((m.mask >> leaf.plan) & 1) == 0) continue;
-      const Plan& plan = forest_->plans()[static_cast<std::size_t>(leaf.plan)];
-      sums[static_cast<std::size_t>(leaf.plan)] +=
+      const Plan& plan =
+          executor_->forest().plans()[static_cast<std::size_t>(leaf.plan)];
+      ws_.sums[static_cast<std::size_t>(leaf.plan)] +=
           exec::evaluate_iep_terms(plan.iep.terms, m.done_sets, leaf.set_ids,
-                                   scratch_a_, scratch_b_);
+                                   ws_.scratch_a, ws_.scratch_b);
+      ws_.iep_terms += plan.iep.terms.size();
     }
   }
 
   const ShardedGraph* sharded_;
-  const PlanForest* forest_;
   const Shard* shard_;
+  const ForestExecutor* executor_;
   int node_;
-  std::uint8_t cutoff_;
-  Shipper* shipper_;
-
-  VertexId mapped_[Pattern::kMaxVertices] = {};
-  std::vector<VertexId> cand_[Pattern::kMaxVertices];
-  std::vector<VertexId> tmp_[Pattern::kMaxVertices];
-  std::vector<std::vector<VertexId>> suffix_sets_;
-  std::vector<VertexId> scratch_a_;
-  std::vector<VertexId> scratch_b_;
-  std::vector<VertexId> all_vertices_;
+  Outbox* outbox_;
+  ForestExecutor::Workspace ws_;
+  std::uint64_t roots_ = 0;
   std::vector<VertexId> fold_tmp_;  ///< chain-folding swap buffer
 };
 
-/// Validates the forest for sharded execution and computes the task
-/// cutoff depth (shared by both executors).
-std::uint8_t prepare_forest(const ShardedGraph& sharded,
-                            const PlanForest& forest, int task_depth) {
-  int min_leaf = INT_MAX;
-  bool wants_hub = false;
-  for (const Plan& plan : forest.plans()) {
-    GRAPHPI_CHECK_MSG(plan.size() >= 2,
-                      "the sharded runtime requires plans with >= 2 "
-                      "vertices (no terminal action at the root)");
-    min_leaf = std::min(min_leaf, plan.leaf_depth());
-    wants_hub |= plan.wants_hub_index;
-  }
-  GRAPHPI_CHECK_MSG(forest.root().count_leaves.empty(),
-                    "root terminal actions are impossible for plans of "
-                    "size >= 2");
-  if (wants_hub) sharded.ensure_hub_indexes();
-  return static_cast<std::uint8_t>(
-      std::clamp(task_depth, 1, std::max(1, min_leaf)));
+/// One executor per node, over the node's shard view and resident set.
+/// Constructing them builds each view's hub index when a plan wants one,
+/// before any worker thread starts.
+std::vector<ForestExecutor> shard_executors(const ShardedGraph& sharded,
+                                            const PlanForest& forest) {
+  std::vector<ForestExecutor> executors;
+  executors.reserve(static_cast<std::size_t>(sharded.nodes()));
+  for (int n = 0; n < sharded.nodes(); ++n)
+    executors.emplace_back(sharded.shard(n).view(), forest,
+                           sharded.shard(n).local_ids());
+  return executors;
 }
 
-std::vector<Count> finalize_counts(const PlanForest& forest,
-                                   std::vector<Count> sums) {
-  const auto& plans = forest.plans();
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    if (!plans[i].iep_active()) continue;
-    GRAPHPI_CHECK_MSG(sums[i] % plans[i].iep.divisor == 0,
-                      "IEP sum must be divisible by the surviving-"
-                      "automorphism factor x");
-    sums[i] /= plans[i].iep.divisor;
+/// Ends a run once every node is quiescent. Every non-master node reports
+/// its undivided per-plan sums once — the "counts travel" half of the
+/// paper's message economy — over the (still fault-injected) channel, and
+/// the drain keeps ticking it so dropped or corrupted reports are
+/// retransmitted until the master has all of them. A stopped run skips
+/// the exchange (in-flight continuations are abandoned) and finalizes
+/// whatever every node accumulated, best-effort.
+std::vector<Count> gather_counts(ReliableChannel& channel,
+                                 const ForestExecutor& executor,
+                                 support::RunStatus status,
+                                 std::vector<std::vector<Count>> node_sums,
+                                 std::uint64_t& decode_failures) {
+  const std::size_t nodes = node_sums.size();
+  std::vector<Count> total = std::move(node_sums[0]);
+  if (status != support::RunStatus::kOk) {
+    for (std::size_t n = 1; n < nodes; ++n)
+      for (std::size_t i = 0; i < total.size(); ++i)
+        total[i] += node_sums[n][i];
+    return executor.finalize_partial(total);
   }
-  return sums;
-}
-
-/// Best-effort finalization of a stopped run: a partial IEP sum is
-/// generally not divisible by x, so divide without the check.
-std::vector<Count> finalize_partial_counts(const PlanForest& forest,
-                                           std::vector<Count> sums) {
-  const auto& plans = forest.plans();
-  for (std::size_t i = 0; i < plans.size(); ++i)
-    if (plans[i].iep_active()) sums[i] /= plans[i].iep.divisor;
-  return sums;
+  for (std::size_t n = 1; n < nodes; ++n) {
+    PartialCountsMsg report;
+    report.sums = std::move(node_sums[n]);
+    channel.send(static_cast<int>(n), 0, MessageKind::kPartialCounts,
+                 report.encode());
+  }
+  std::size_t reports = 0;
+  Message msg;
+  while (reports + 1 < nodes || !channel.idle()) {
+    channel.tick();
+    for (std::size_t n = 0; n < nodes; ++n)
+      channel.service_retransmits(static_cast<int>(n));
+    // Non-master receives only consume acks (straggler continuation
+    // duplicates are deduped inside receive()); the master accumulates
+    // each report exactly once.
+    for (std::size_t n = 0; n < nodes; ++n) {
+      while (channel.receive(static_cast<int>(n), msg)) {
+        GRAPHPI_CHECK(n == 0);
+        GRAPHPI_CHECK(msg.kind == MessageKind::kPartialCounts);
+        PartialCountsMsg report;
+        if (!PartialCountsMsg::try_decode(msg.payload, report) ||
+            report.sums.size() != total.size()) {
+          // Unreachable with an intact CRC frame; counted, not UB.
+          ++decode_failures;
+          ++reports;
+          continue;
+        }
+        for (std::size_t i = 0; i < total.size(); ++i)
+          total[i] += report.sums[i];
+        ++reports;
+      }
+    }
+  }
+  return executor.finalize(total);
 }
 
 void fill_shared_stats(const ShardedGraph& sharded,
@@ -549,25 +401,23 @@ void fill_shared_stats(const ShardedGraph& sharded,
 /// trie against its own shard only, shipping serialized continuations to
 /// owners when an adjacency it needs is not resident. Single-threaded
 /// round-robin service keeps the run deterministic.
-class LockstepForestRun : public Shipper {
+class LockstepForestRun final : public Outbox {
  public:
   LockstepForestRun(const ShardedGraph& sharded, const PlanForest& forest,
                     const ClusterOptions& options)
       : sharded_(&sharded),
-        forest_(&forest),
         channel_(sharded.nodes(), options.faults),
         control_(options.control != nullptr && options.control->armed()
                      ? options.control
-                     : nullptr) {
-    const std::uint8_t cutoff =
-        prepare_forest(sharded, forest, options.task_depth);
+                     : nullptr),
+        executors_(shard_executors(sharded, forest)) {
     nodes_.resize(static_cast<std::size_t>(sharded.nodes()));
     for (std::size_t n = 0; n < nodes_.size(); ++n)
-      nodes_[n].walk = std::make_unique<ShardWalk>(
-          sharded, forest, static_cast<int>(n), cutoff, *this);
+      nodes_[n].worker = std::make_unique<ShardWorker>(
+          sharded, executors_[n], static_cast<int>(n), *this);
   }
 
-  void ship(int from, int dest, const ContinuationMsg& m) override {
+  void post(int from, int dest, const ContinuationMsg& m) override {
     channel_.send(from, dest, MessageKind::kContinuation, m.encode());
   }
 
@@ -576,8 +426,8 @@ class LockstepForestRun : public Shipper {
     // Service nodes round-robin, one unit of work per turn, until no node
     // has anything left AND the reliable channel has drained (frames may
     // need retransmitting under a fault plan): inbox message first, then
-    // a queued task, then the next owned root. An armed ExecControl is
-    // checked once per round — root-grained, every `nodes` work units.
+    // the next owned root. An armed ExecControl is checked once per
+    // round — root-grained, every `nodes` work units.
     support::RunStatus status = support::RunStatus::kOk;
     bool any = true;
     while (any || !channel_.idle()) {
@@ -597,63 +447,21 @@ class LockstepForestRun : public Shipper {
       run_report->status = status;
       run_report->completed_roots = roots_done_;
     }
-    if (status != support::RunStatus::kOk) {
-      // Stopped early: skip the message exchange (in-flight continuations
-      // are abandoned) and aggregate whatever every node accumulated.
-      std::vector<Count> total = nodes_[0].walk->sums;
-      for (std::size_t n = 1; n < nodes_.size(); ++n)
-        for (std::size_t i = 0; i < total.size(); ++i)
-          total[i] += nodes_[n].walk->sums[i];
-      if (stats != nullptr) fill_stats(*stats);
-      return finalize_partial_counts(*forest_, std::move(total));
+    std::vector<std::vector<Count>> node_sums;
+    for (const NodeSlot& ns : nodes_) {
+      node_sums.push_back(ns.worker->sums());
+      ns.worker->flush_metrics();
     }
-
-    // Every non-master node reports its undivided per-plan sums once —
-    // the "counts travel" half of the paper's message economy. The drain
-    // keeps ticking the reliable channel so dropped/corrupted reports are
-    // retransmitted until the master has all of them.
-    for (std::size_t n = 1; n < nodes_.size(); ++n) {
-      PartialCountsMsg report;
-      report.sums = nodes_[n].walk->sums;
-      report.tasks = nodes_[n].walk->tasks_run;
-      channel_.send(static_cast<int>(n), 0, MessageKind::kPartialCounts,
-                    report.encode());
-    }
-    std::vector<Count> total = nodes_[0].walk->sums;
-    std::size_t reports = 0;
-    Message msg;
-    while (reports + 1 < nodes_.size() || !channel_.idle()) {
-      channel_.tick();
-      for (std::size_t n = 0; n < nodes_.size(); ++n)
-        channel_.service_retransmits(static_cast<int>(n));
-      // Non-master receives only consume acks; the master accumulates
-      // each report exactly once (the channel dedups duplicates).
-      for (std::size_t n = 0; n < nodes_.size(); ++n) {
-        while (channel_.receive(static_cast<int>(n), msg)) {
-          GRAPHPI_CHECK(n == 0);
-          GRAPHPI_CHECK(msg.kind == MessageKind::kPartialCounts);
-          PartialCountsMsg report;
-          if (!PartialCountsMsg::try_decode(msg.payload, report) ||
-              report.sums.size() != total.size()) {
-            // Unreachable with an intact CRC frame; counted, not UB.
-            ++decode_failures_;
-            ++reports;
-            continue;
-          }
-          for (std::size_t i = 0; i < total.size(); ++i)
-            total[i] += report.sums[i];
-          ++reports;
-        }
-      }
-    }
-
+    std::vector<Count> counts =
+        gather_counts(channel_, executors_.front(), status,
+                      std::move(node_sums), decode_failures_);
     if (stats != nullptr) fill_stats(*stats);
-    return finalize_counts(*forest_, std::move(total));
+    return counts;
   }
 
  private:
   struct NodeSlot {
-    std::unique_ptr<ShardWalk> walk;
+    std::unique_ptr<ShardWorker> worker;
     std::size_t next_root = 0;
     double seconds = 0.0;
   };
@@ -663,22 +471,15 @@ class LockstepForestRun : public Shipper {
     Message msg;
     if (channel_.receive(n, msg)) {
       support::Timer timer;
-      ns.walk->process_payload(msg);
+      ns.worker->process_payload(msg);
       ns.seconds += timer.elapsed_seconds();
       return true;
     }
-    if (!ns.walk->tasks.empty()) {
-      support::Timer timer;
-      ns.walk->run_queued_task();
-      ns.seconds += timer.elapsed_seconds();
-      return true;
-    }
-    const auto owned = ns.walk ? sharded_->shard(n).owned()
-                               : std::span<const VertexId>{};
+    const auto owned = sharded_->shard(n).owned();
     if (ns.next_root < owned.size()) {
       const VertexId v0 = owned[ns.next_root++];
       support::Timer timer;
-      ns.walk->run_root(v0);
+      ns.worker->run_root(v0);
       ns.seconds += timer.elapsed_seconds();
       ++roots_done_;
       return true;
@@ -690,23 +491,20 @@ class LockstepForestRun : public Shipper {
     out = ClusterStats{};
     fill_shared_stats(*sharded_, channel_, out);
     std::uint64_t decode_failures = decode_failures_;
-    out.tasks_per_node.reserve(nodes_.size());
     out.seconds_per_node.reserve(nodes_.size());
     for (const NodeSlot& ns : nodes_) {
-      out.total_tasks += ns.walk->tasks_run;
-      out.tasks_per_node.push_back(ns.walk->tasks_run);
       out.seconds_per_node.push_back(ns.seconds);
-      out.shipped_continuations += ns.walk->shipped_continuations;
-      out.shipped_set_vertices += ns.walk->shipped_set_vertices;
-      decode_failures += ns.walk->decode_failures;
+      out.shipped_continuations += ns.worker->shipped_continuations;
+      out.shipped_set_vertices += ns.worker->shipped_set_vertices;
+      decode_failures += ns.worker->decode_failures;
     }
     out.decode_failures = decode_failures;
   }
 
   const ShardedGraph* sharded_;
-  const PlanForest* forest_;
   ReliableChannel channel_;
   const support::ExecControl* control_ = nullptr;
+  std::vector<ForestExecutor> executors_;
   std::vector<NodeSlot> nodes_;
   std::uint64_t roots_done_ = 0;
   std::uint64_t decode_failures_ = 0;
@@ -715,9 +513,9 @@ class LockstepForestRun : public Shipper {
 // ---------------------------------------------------------------------------
 // Async executor: one worker pool per node, coalesced flushes,
 // cooperative backpressure. Counts are bit-identical to lockstep because
-// the walk (ShardWalk) is the same code and integer partial sums are
-// order-independent; what changes is WHEN things run — compute and
-// communication overlap instead of alternating.
+// the walk (ShardWorker over ForestExecutor) is the same code and integer
+// partial sums are order-independent; what changes is WHEN things run —
+// compute and communication overlap instead of alternating.
 // ---------------------------------------------------------------------------
 
 class AsyncForestRun {
@@ -739,8 +537,8 @@ class AsyncForestRun {
                               ? static_cast<std::size_t>(options.mailbox_capacity)
                               : 0),
         flush_payloads_(std::max(1, options.flush_payloads)),
-        flush_bytes_(std::max(1, options.flush_bytes)) {
-    cutoff_ = prepare_forest(sharded, forest, options.task_depth);
+        flush_bytes_(std::max(1, options.flush_bytes)),
+        executors_(shard_executors(sharded, forest)) {
     const int nodes = sharded.nodes();
     root_cursors_ = std::vector<std::atomic<std::size_t>>(
         static_cast<std::size_t>(nodes));
@@ -769,67 +567,22 @@ class AsyncForestRun {
     merged.completed_roots = roots_done_.load();
     if (run_report != nullptr) *run_report = merged;
 
-    const std::size_t nodes = static_cast<std::size_t>(sharded_->nodes());
     std::vector<std::vector<Count>> node_sums(
-        nodes, std::vector<Count>(forest_->plans().size(), 0));
-    std::vector<std::uint64_t> node_tasks(nodes, 0);
+        static_cast<std::size_t>(sharded_->nodes()),
+        std::vector<Count>(forest_->plans().size(), 0));
     for (auto& w : workers_) {
       auto& sums = node_sums[static_cast<std::size_t>(w->node)];
       for (std::size_t i = 0; i < sums.size(); ++i)
-        sums[i] += w->walk.sums[i];
-      node_tasks[static_cast<std::size_t>(w->node)] += w->walk.tasks_run;
+        sums[i] += w->walk.sums()[i];
+      w->walk.flush_metrics();
     }
-
-    if (merged.status != support::RunStatus::kOk) {
-      // Stopped early: skip the count exchange, aggregate best-effort.
-      std::vector<Count> total = std::move(node_sums[0]);
-      for (std::size_t n = 1; n < nodes; ++n)
-        for (std::size_t i = 0; i < total.size(); ++i)
-          total[i] += node_sums[n][i];
-      if (stats != nullptr) fill_stats(*stats);
-      return finalize_partial_counts(*forest_, std::move(total));
-    }
-
-    // Post-quiescence count exchange, driven from the master thread the
-    // same way the lockstep executor does it: nodes report undivided
-    // sums over the (still fault-injected) channel, the master collects
-    // with retransmit + dedup until everything is acked.
-    for (std::size_t n = 1; n < nodes; ++n) {
-      PartialCountsMsg report;
-      report.sums = node_sums[n];
-      report.tasks = node_tasks[n];
-      channel_.send(static_cast<int>(n), 0, MessageKind::kPartialCounts,
-                    report.encode());
-    }
-    std::vector<Count> total = std::move(node_sums[0]);
-    std::size_t reports = 0;
-    Message msg;
-    while (reports + 1 < nodes || !channel_.idle()) {
-      channel_.tick();
-      for (std::size_t n = 0; n < nodes; ++n)
-        channel_.service_retransmits(static_cast<int>(n));
-      for (std::size_t n = 0; n < nodes; ++n) {
-        while (channel_.receive(static_cast<int>(n), msg)) {
-          // Straggler continuation duplicates were deduped inside
-          // receive(); anything delivered here is a count report.
-          GRAPHPI_CHECK(n == 0);
-          GRAPHPI_CHECK(msg.kind == MessageKind::kPartialCounts);
-          PartialCountsMsg report;
-          if (!PartialCountsMsg::try_decode(msg.payload, report) ||
-              report.sums.size() != total.size()) {
-            ++decode_failures_;
-            ++reports;
-            continue;
-          }
-          for (std::size_t i = 0; i < total.size(); ++i)
-            total[i] += report.sums[i];
-          ++reports;
-        }
-      }
-    }
-
+    // The post-quiescence count exchange runs from the master thread, the
+    // same way the lockstep executor does it.
+    std::vector<Count> counts =
+        gather_counts(channel_, executors_.front(), merged.status,
+                      std::move(node_sums), decode_failures_);
     if (stats != nullptr) fill_stats(*stats);
-    return finalize_counts(*forest_, std::move(total));
+    return counts;
   }
 
  private:
@@ -838,16 +591,18 @@ class AsyncForestRun {
   /// in-memory OpenMP root schedule uses support::kRootChunk instead.
   static constexpr std::size_t kOwnedRootsPerClaim = 16;
 
-  struct Worker final : Shipper {
+  struct Worker final : Outbox {
     Worker(AsyncForestRun& run, int node_idx)
         : run(&run),
           node(node_idx),
-          walk(*run.sharded_, *run.forest_, node_idx, run.cutoff_, *this),
+          walk(*run.sharded_,
+               run.executors_[static_cast<std::size_t>(node_idx)], node_idx,
+               *this),
           buffers(static_cast<std::size_t>(run.sharded_->nodes())),
           buffered_bytes(static_cast<std::size_t>(run.sharded_->nodes()), 0) {}
 
-    // -- Shipper: coalesce into per-destination buffers ---------------------
-    void ship(int /*from*/, int dest, const ContinuationMsg& m) override {
+    // -- Outbox: coalesce into per-destination buffers ----------------------
+    void post(int /*from*/, int dest, const ContinuationMsg& m) override {
       run->pending_.fetch_add(1, std::memory_order_acq_rel);
       auto& buf = buffers[static_cast<std::size_t>(dest)];
       std::vector<std::uint8_t> payload = m.encode();
@@ -950,8 +705,6 @@ class AsyncForestRun {
           support::Timer timer;
           for (std::size_t i = begin; i < end; ++i) {
             walk.run_root(owned[i]);
-            while (walk.run_queued_task()) {
-            }
             finish_unit();
             run->roots_done_.fetch_add(1, std::memory_order_relaxed);
             if (poll_control() || stop_requested()) break;
@@ -1013,7 +766,7 @@ class AsyncForestRun {
 
     AsyncForestRun* run;
     int node;
-    ShardWalk walk;
+    ShardWorker walk;
     std::vector<std::vector<std::vector<std::uint8_t>>> buffers;
     std::vector<std::size_t> buffered_bytes;
     std::deque<Message> deferred;
@@ -1029,13 +782,10 @@ class AsyncForestRun {
     out = ClusterStats{};
     fill_shared_stats(*sharded_, channel_, out);
     const std::size_t nodes = static_cast<std::size_t>(sharded_->nodes());
-    out.tasks_per_node.assign(nodes, 0);
     out.seconds_per_node.assign(nodes, 0.0);
     std::uint64_t decode_failures = decode_failures_;
     for (const auto& w : workers_) {
       const auto n = static_cast<std::size_t>(w->node);
-      out.total_tasks += w->walk.tasks_run;
-      out.tasks_per_node[n] += w->walk.tasks_run;
       out.seconds_per_node[n] += w->seconds;
       out.shipped_continuations += w->walk.shipped_continuations;
       out.shipped_set_vertices += w->walk.shipped_set_vertices;
@@ -1055,7 +805,7 @@ class AsyncForestRun {
   const std::size_t mailbox_capacity_;
   const int flush_payloads_;
   const int flush_bytes_;
-  std::uint8_t cutoff_ = 1;
+  std::vector<ForestExecutor> executors_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::atomic<std::size_t>> root_cursors_;
@@ -1075,7 +825,6 @@ void bridge_stats_to_registry(const ClusterStats& s) {
   using support::metrics::metric_counter;
   using support::metrics::metric_gauge;
   static Counter& c_runs = metric_counter("dist.runs");
-  static Counter& c_tasks = metric_counter("dist.tasks");
   static Counter& c_messages = metric_counter("dist.messages");
   static Counter& c_bytes = metric_counter("dist.bytes");
   static Counter& c_continuations =
@@ -1095,7 +844,6 @@ void bridge_stats_to_registry(const ClusterStats& s) {
   static Counter& c_co_payloads = metric_counter("dist.coalesced_payloads");
   static Counter& c_stalls = metric_counter("dist.mailbox_stalls");
   c_runs.inc();
-  c_tasks.inc(s.total_tasks);
   c_messages.inc(s.messages);
   c_bytes.inc(s.bytes);
   c_continuations.inc(s.shipped_continuations);
@@ -1127,16 +875,11 @@ std::vector<Count> single_node_run(const Graph& graph, const PlanForest& forest,
   const support::trace::Span span("dist.single_node");
   const ForestExecutor executor(graph, forest);
   ForestExecutor::Workspace ws;
-  std::vector<VertexId> roots(graph.vertex_count());
-  std::iota(roots.begin(), roots.end(), VertexId{0});
   support::Timer timer;
-  const std::vector<Count> counts =
-      executor.count_roots(ws, roots, control, report);
+  const std::vector<Count> counts = executor.count(ws, control, report);
   ClusterStats local;
   ClusterStats* s = stats != nullptr ? stats : &local;
   *s = ClusterStats{};
-  s->total_tasks = roots.size();
-  s->tasks_per_node = {roots.size()};
   s->seconds_per_node = {timer.elapsed_seconds()};
   s->sent_messages_per_node = {0};
   s->sent_bytes_per_node = {0};
@@ -1178,7 +921,6 @@ void ClusterStats::accumulate(const ClusterStats& other) {
     if (into.size() < from.size()) into.resize(from.size(), 0);
     for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
   };
-  total_tasks += other.total_tasks;
   messages += other.messages;
   bytes += other.bytes;
   continuation_messages += other.continuation_messages;
@@ -1201,7 +943,6 @@ void ClusterStats::accumulate(const ClusterStats& other) {
   coalesced_payloads += other.coalesced_payloads;
   mailbox_stalls += other.mailbox_stalls;
   mailbox_high_water = std::max(mailbox_high_water, other.mailbox_high_water);
-  merge_u64(tasks_per_node, other.tasks_per_node);
   merge_u64(sent_messages_per_node, other.sent_messages_per_node);
   merge_u64(sent_bytes_per_node, other.sent_bytes_per_node);
   if (seconds_per_node.size() < other.seconds_per_node.size())

@@ -2,25 +2,27 @@
 // paper's whole-graph-per-node assumption).
 //
 // Every logical node holds ONLY its shard of the data graph — owned CSR
-// rows plus the 1-hop ghost halo (dist/shard.h) — and executes the
-// compiled plan forest against that shard with its own workspace and its
-// own per-shard hub index. The walk over the trie proceeds exactly like
-// engine/forest.h, except that every candidate-set build first folds in
-// the adjacencies resident on the current node and, when a predecessor's
-// adjacency is not resident, serializes the continuation — partial
-// embedding, set-build progress, and the in-flight candidate set — and
-// ships it to that predecessor's owner over the typed channel
-// (dist/comm.h). Partial counts flow back to the master at the end; full
-// embeddings never travel. Message and byte counters make that economy
-// measurable, and feed the comm-cost model in dist/simulator.h.
+// rows plus the 1-hop ghost halo (dist/shard.h) — and runs the one trie
+// walker, engine/forest.h's ForestExecutor, over that shard's global-id
+// view and resident set, one workspace per worker, memo tables and IEP
+// suffix-set reuse included. The walk hands every step whose adjacency is
+// not resident to the worker's shipping hook. That hook folds in the
+// adjacencies resident on the current node, serializes the continuation —
+// partial embedding, set-build progress, and the in-flight candidate set
+// — and ships it to the owner of the missing adjacency over the typed
+// channel (dist/comm.h); a chain completed there resumes the walk through
+// ForestExecutor::resume_extension(). Partial counts flow back to the
+// master at the end; full embeddings never travel. Message and byte
+// counters make that economy measurable, and per-node busy time and
+// traffic feed the comm-cost model in dist/simulator.h.
 //
-// Two executors share one trie-walk implementation:
+// Two executors drive the same workers; they differ only in scheduling:
 //
 //   * ExecMode::kLockstep — the original single-threaded round-robin
-//     service loop: one unit of work per node per turn, compute strictly
-//     alternating with channel drains. Fully deterministic (fault
-//     injection replays exactly), the reference for the scheduling
-//     simulator and the differential tests.
+//     service loop: one unit of work (an arrived continuation or an owned
+//     root) per node per turn, compute strictly alternating with channel
+//     drains. Fully deterministic (fault injection replays exactly), the
+//     reference for the differential tests.
 //   * ExecMode::kAsync — real compute/comm overlap: each node runs a
 //     small pool of worker threads (workers_per_node) draining a bounded
 //     MPMC mailbox; continuations are coalesced per destination and
@@ -68,12 +70,6 @@ struct ClusterOptions {
   /// Number of logical nodes (>= 1). 1 runs the whole forest locally
   /// (no sharding, no messages).
   int nodes = 2;
-  /// Schedule depth at which the descent from a root is cut into
-  /// node-local tasks (clamped to [1, shallowest plan leaf]). Finer tasks
-  /// produce the fine-grained load profile the scheduling simulator
-  /// replays; they never travel between nodes by themselves — only
-  /// boundary-crossing continuations do.
-  int task_depth = 1;
   PartitionStrategy partition = PartitionStrategy::kHash;
   /// Seeded fault injection applied to the transport; the reliability
   /// layer (dist/comm.h) keeps counts bit-identical under any plan with
@@ -106,9 +102,6 @@ struct ClusterOptions {
 /// Observability counters for one distributed run. Byte counters measure
 /// serialized payloads (see dist/comm.h).
 struct ClusterStats {
-  /// Node-local task units executed (valid depth-`task_depth` subtree
-  /// roots; 0 when every plan's leaf is shallower than the cutoff).
-  std::uint64_t total_tasks = 0;
   std::uint64_t messages = 0;  ///< all channel messages
   std::uint64_t bytes = 0;     ///< all channel payload bytes
   /// Continuation-kind channel messages (lockstep: one per shipped
@@ -125,11 +118,11 @@ struct ClusterStats {
   /// Partial-count reports to the master.
   std::uint64_t count_messages = 0;
   std::uint64_t count_bytes = 0;
-  std::vector<std::uint64_t> tasks_per_node;
   std::vector<double> seconds_per_node;  ///< busy time per node
   std::vector<std::uint64_t> sent_messages_per_node;
   std::vector<std::uint64_t> sent_bytes_per_node;
-  /// Shard shape of the run.
+  /// Shard shape of the run; owned_per_node is also each node's root
+  /// count.
   std::vector<std::uint32_t> owned_per_node;
   std::vector<std::uint32_t> ghosts_per_node;
   double replication_factor = 0.0;
@@ -170,8 +163,7 @@ struct ClusterStats {
 
 /// Counts every plan of a prefix-sharing forest in one sharded batch
 /// traversal — the distributed twin of ForestExecutor::count(), returning
-/// finalized per-plan counts indexed like forest.plans(). Every plan must
-/// have >= 2 vertices.
+/// finalized per-plan counts indexed like forest.plans().
 [[nodiscard]] std::vector<Count> distributed_count_batch(
     const Graph& graph, const PlanForest& forest,
     const ClusterOptions& options = {}, ClusterStats* stats = nullptr,

@@ -98,6 +98,11 @@ class Shard {
   [[nodiscard]] std::uint32_t local_id(VertexId global) const noexcept {
     return local_of_[global];
   }
+  /// local_id() of every global vertex: the residency map a shard
+  /// ForestExecutor tests.
+  [[nodiscard]] std::span<const std::uint32_t> local_ids() const noexcept {
+    return local_of_;
+  }
   /// Inverse of local_id for local < resident_count().
   [[nodiscard]] VertexId global_id(std::uint32_t local) const noexcept {
     return residents_[local];

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <numeric>
 
 #include "engine/plan_exec.h"
 #include "graph/vertex_set.h"
@@ -19,25 +18,39 @@ std::atomic<std::uint64_t> g_next_executor_id{1};  // 0 = workspace unbound
 
 }  // namespace
 
-ResolvedBranches resolve_branches(const VertexId* mapped,
-                                  const PlanForest::Extension& ext,
-                                  PlanForest::PlanMask active) {
-  ResolvedBranches rb;
-  for (const PlanForest::Branch& branch : ext.branches) {
-    const PlanForest::PlanMask m = branch.mask & active;
-    if (m == 0) continue;
-    const exec::Window w = exec::bounded_window(mapped, branch);
-    if (w.empty()) continue;
-    rb.windows[rb.live] = w;
-    rb.masks[rb.live] = m;
-    ++rb.live;
-    rb.union_window.lo_inclusive =
-        std::min(rb.union_window.lo_inclusive, w.lo_inclusive);
-    rb.union_window.hi_exclusive =
-        std::max(rb.union_window.hi_exclusive, w.hi_exclusive);
+struct ForestExecutor::Branches {
+  std::array<exec::Window, PlanForest::kMaxPlans> windows;
+  std::array<PlanMask, PlanForest::kMaxPlans> masks;
+  std::size_t live = 0;
+  exec::Window union_window{kNoVertexBound, 0};
+
+  /// Resolves `ext`'s branches against `mapped` under `active`; branches
+  /// that are masked out or whose window is empty do not survive.
+  Branches(const VertexId* mapped, const PlanForest::Extension& ext,
+           PlanMask active) {
+    for (const PlanForest::Branch& branch : ext.branches) {
+      const PlanMask m = branch.mask & active;
+      if (m == 0) continue;
+      const exec::Window w = exec::bounded_window(mapped, branch);
+      if (w.empty()) continue;
+      windows[live] = w;
+      masks[live] = m;
+      ++live;
+      union_window.lo_inclusive =
+          std::min(union_window.lo_inclusive, w.lo_inclusive);
+      union_window.hi_exclusive =
+          std::max(union_window.hi_exclusive, w.hi_exclusive);
+    }
   }
-  return rb;
-}
+
+  /// Plans whose window admits v (narrowing step of the candidate loop).
+  [[nodiscard]] PlanMask mask_at(VertexId v) const noexcept {
+    PlanMask m = 0;
+    for (std::size_t b = 0; b < live; ++b)
+      if (windows[b].contains(v)) m |= masks[b];
+    return m;
+  }
+};
 
 ForestExecutor::ForestExecutor(const Graph& graph, const PlanForest& forest)
     : graph_(&graph),
@@ -48,6 +61,13 @@ ForestExecutor::ForestExecutor(const Graph& graph, const PlanForest& forest)
       graph.ensure_hub_index();
       break;
     }
+}
+
+ForestExecutor::ForestExecutor(const Graph& graph, const PlanForest& forest,
+                               std::span<const std::uint32_t> residency)
+    : ForestExecutor(graph, forest) {
+  GRAPHPI_CHECK(residency.size() >= graph.vertex_count());
+  residency_ = residency.data();
 }
 
 namespace {
@@ -102,10 +122,14 @@ Count ForestExecutor::memoized_raw_count(Workspace& ws, int memo_id,
   if (table.probes - table.last_review_probes >= kMemoProbeWindow) {
     // Review the last window (misses reach here often enough that the
     // window overshoots by at most a few hits): a table whose keys are
-    // not repeating on this graph stops paying for itself.
+    // not repeating on this graph stops paying for itself. The first
+    // window fills an empty table, so its misses say nothing about
+    // repetition and it is not judged.
+    const bool cold_fill = table.last_review_probes == 0;
     const std::uint64_t window_probes = table.probes - table.last_review_probes;
     const std::uint64_t window_hits = table.hits - table.last_review_hits;
-    if (window_hits * kMemoMinHitDen < window_probes * kMemoMinHitNum) {
+    if (!cold_fill &&
+        window_hits * kMemoMinHitDen < window_probes * kMemoMinHitNum) {
       table.disabled = true;
       table.keys = {};
       table.values = {};
@@ -116,16 +140,34 @@ Count ForestExecutor::memoized_raw_count(Workspace& ws, int memo_id,
   return raw;
 }
 
-void ForestExecutor::eval_leaves(Workspace& ws, const PlanForest::Node& node,
+void ForestExecutor::hand_off(Workspace& ws, const PlanForest::Node& node,
+                              Step step, std::size_t item,
+                              PlanMask active) const {
+  HandOff h;
+  h.trie_node = static_cast<std::uint32_t>(&node - forest_->nodes().data());
+  h.step = step;
+  h.item = static_cast<std::uint16_t>(item);
+  h.mask = active;
+  h.mapped = {ws.mapped, static_cast<std::size_t>(node.depth)};
+  ws.shipper->hand_off(h);
+}
+
+bool ForestExecutor::eval_leaves(Workspace& ws, const PlanForest::Node& node,
                                  PlanMask active) const {
   const int depth = node.depth;
   const std::span<const VertexId> mapped{ws.mapped,
                                          static_cast<std::size_t>(depth)};
 
-  for (const PlanForest::CountLeaf& leaf : node.count_leaves) {
+  for (std::size_t li = 0; li < node.count_leaves.size(); ++li) {
+    const PlanForest::CountLeaf& leaf = node.count_leaves[li];
     if (((active >> leaf.plan) & 1) == 0) continue;
     const exec::Window w = exec::bounded_window(ws.mapped, leaf);
     if (w.empty()) continue;
+    if (ws.shipper != nullptr &&
+        !resident(leaf.predecessor_depths, ws.mapped)) {
+      hand_off(ws, node, Step::kCountLeaf, li, active);
+      continue;
+    }
     const Count raw =
         leaf.memo_id >= 0
             ? memoized_raw_count(ws, leaf.memo_id, leaf.memo_key_depths,
@@ -140,7 +182,17 @@ void ForestExecutor::eval_leaves(Workspace& ws, const PlanForest::Node& node,
                                                w.lo_inclusive, w.hi_exclusive);
   }
 
-  if (node.iep_leaves.empty()) return;
+  if (node.iep_leaves.empty()) return true;
+  if (ws.shipper != nullptr) {
+    // Every set an active plan needs, a memoized k == 1 leaf's included,
+    // must be buildable here; otherwise the whole IEP step travels.
+    for (std::size_t i = 0; i < node.suffix_defs.size(); ++i)
+      if ((node.suffix_def_demand_masks[i] & active) != 0 &&
+          !resident(node.suffix_defs[i], ws.mapped)) {
+        hand_off(ws, node, Step::kIepNode, 0, active);
+        return false;
+      }
+  }
   // Materialize each suffix candidate set some active plan consumes —
   // once, however many S_i across however many leaves read it.
   if (ws.suffix_sets.size() < node.suffix_defs.size())
@@ -171,32 +223,33 @@ void ForestExecutor::eval_leaves(Workspace& ws, const PlanForest::Node& node,
                                  ws.scratch_a, ws.scratch_b);
     ws.iep_terms += plan.iep.terms.size();
   }
+  return true;
 }
 
 void ForestExecutor::exec_node(Workspace& ws, const PlanForest::Node& node,
                                PlanMask active) const {
   // Leaves first: they may use cand[depth]/tmp[depth], which the
   // extension loop below rebuilds.
+  bool sets_built = true;
   if (!node.count_leaves.empty() || !node.iep_leaves.empty())
-    eval_leaves(ws, node, active);
+    sets_built = eval_leaves(ws, node, active);
 
   const int depth = node.depth;
   const std::span<const VertexId> mapped{ws.mapped,
                                          static_cast<std::size_t>(depth)};
-  for (const PlanForest::Extension& ext : node.extensions) {
+  for (std::size_t e = 0; e < node.extensions.size(); ++e) {
+    const PlanForest::Extension& ext = node.extensions[e];
     if ((ext.mask & active) == 0) continue;
-    const PlanForest::Node& child =
-        forest_->nodes()[static_cast<std::size_t>(ext.child)];
 
     // Resolve each active branch's restriction window under the current
     // mapping; the loop runs over the union window and narrows the
     // active-plan mask per candidate, so plans differing only in
     // restrictions share the intersection built below.
-    const ResolvedBranches rb = resolve_branches(ws.mapped, ext, active);
+    const Branches rb(ws.mapped, ext, active);
     if (rb.live == 0) continue;
 
     std::span<const VertexId> cands;
-    if (ext.reuse_suffix_def >= 0 &&
+    if (ext.reuse_suffix_def >= 0 && sets_built &&
         (node.suffix_def_masks[static_cast<std::size_t>(
              ext.reuse_suffix_def)] &
          active) != 0) {
@@ -208,37 +261,72 @@ void ForestExecutor::exec_node(Workspace& ws, const PlanForest::Node& node,
           ws.suffix_sets[static_cast<std::size_t>(ext.reuse_suffix_def)];
       ws.cand[depth].assign(set.begin(), set.end());
       cands = ws.cand[depth];
+    } else if (ws.shipper != nullptr &&
+               !resident(ext.predecessor_depths, ws.mapped)) {
+      hand_off(ws, node, Step::kExtension, e, active);
+      continue;
     } else {
       cands = exec::build_candidates(*graph_, ext.predecessor_depths, mapped,
                                      ws.cand[depth], ws.tmp[depth],
                                      ws.all_vertices);
     }
-    const auto range =
-        rb.union_window.unbounded()
-            ? cands
-            : trim_to_window(cands, rb.union_window.lo_inclusive,
-                             rb.union_window.hi_exclusive);
-    if (rb.live == 1) {
-      // Common case: one distinct window — the trim above already applied
-      // it, so no per-vertex checks are needed.
-      const PlanMask next = rb.masks[0];
-      for (VertexId v : range) {
-        if (exec::already_used(mapped, v)) continue;
-        ws.mapped[depth] = v;
-        exec_node(ws, child, next);
-      }
-      continue;
-    }
-    for (VertexId v : range) {
-      const PlanMask next = rb.mask_at(v);
-      if (next == 0 || exec::already_used(mapped, v)) continue;
-      ws.mapped[depth] = v;
-      exec_node(ws, child, next);
-    }
+    run_loop(ws, ext, rb, cands, depth);
   }
 }
 
+void ForestExecutor::run_loop(Workspace& ws, const PlanForest::Extension& ext,
+                              const Branches& rb,
+                              std::span<const VertexId> cands,
+                              int depth) const {
+  const PlanForest::Node& child =
+      forest_->nodes()[static_cast<std::size_t>(ext.child)];
+  const std::span<const VertexId> mapped{ws.mapped,
+                                         static_cast<std::size_t>(depth)};
+  const auto range =
+      rb.union_window.unbounded()
+          ? cands
+          : trim_to_window(cands, rb.union_window.lo_inclusive,
+                           rb.union_window.hi_exclusive);
+  if (rb.live == 1) {
+    // Common case: one distinct window — the trim above already applied
+    // it, so no per-vertex checks are needed.
+    const PlanMask next = rb.masks[0];
+    for (VertexId v : range) {
+      if (exec::already_used(mapped, v)) continue;
+      ws.mapped[depth] = v;
+      exec_node(ws, child, next);
+    }
+    return;
+  }
+  for (VertexId v : range) {
+    const PlanMask next = rb.mask_at(v);
+    if (next == 0 || exec::already_used(mapped, v)) continue;
+    ws.mapped[depth] = v;
+    exec_node(ws, child, next);
+  }
+}
+
+exec::Window ForestExecutor::extension_window(const VertexId* mapped,
+                                              std::uint32_t trie_node,
+                                              std::uint16_t item,
+                                              PlanMask mask) const {
+  const PlanForest::Node& node = forest_->nodes()[trie_node];
+  return Branches(mapped, node.extensions[item], mask).union_window;
+}
+
+void ForestExecutor::resume_extension(Workspace& ws, std::uint32_t trie_node,
+                                      std::uint16_t item, PlanMask mask,
+                                      std::span<const VertexId> candidates)
+    const {
+  const PlanForest::Node& node = forest_->nodes()[trie_node];
+  const PlanForest::Extension& ext = node.extensions[item];
+  const Branches rb(ws.mapped, ext, mask);
+  if (rb.live != 0) run_loop(ws, ext, rb, candidates, node.depth);
+}
+
 void ForestExecutor::reset(Workspace& ws) const {
+  GRAPHPI_CHECK_MSG(ws.shipper == nullptr || residency_ != nullptr,
+                    "a shipping hook needs a shard executor");
   ws.sums.assign(forest_->plans().size(), 0);
   if (ws.bound_executor != id_) {
     // Memo keys are only meaningful for the executor that wrote them.
@@ -284,20 +372,30 @@ std::vector<Count> ForestExecutor::finalize(
 std::vector<Count> ForestExecutor::count(Workspace& ws,
                                          const support::ExecControl* control,
                                          support::RunReport* report) const {
-  if (control != nullptr && control->armed()) {
-    std::vector<VertexId> roots(graph_->vertex_count());
-    std::iota(roots.begin(), roots.end(), VertexId{0});
-    return count_roots(ws, roots, control, report);
-  }
   reset(ws);
   support::metrics::metric_counter("engine.forest.runs").inc();
-  exec_node(ws, forest_->root(), forest_->all_plans_mask());
-  // The depth-0 candidate loop scans every vertex exactly once.
-  flush_metrics(ws, graph_->vertex_count());
-  if (report != nullptr)
-    *report = support::RunReport{support::RunStatus::kOk,
-                                 graph_->vertex_count()};
-  return finalize(ws.sums);
+  if (control == nullptr || !control->armed()) {
+    exec_node(ws, forest_->root(), forest_->all_plans_mask());
+    // The depth-0 candidate loop scans every vertex exactly once.
+    flush_metrics(ws, graph_->vertex_count());
+    if (report != nullptr)
+      *report = support::RunReport{support::RunStatus::kOk,
+                                   graph_->vertex_count()};
+    return finalize(ws.sums);
+  }
+  support::PollGate gate(control);
+  for (VertexId v0 = 0; v0 < graph_->vertex_count(); ++v0) {
+    accumulate_root(ws, v0);
+    if (gate.completed_unit() != support::RunStatus::kOk) break;
+  }
+  if (report != nullptr) {
+    report->status = gate.status();
+    report->completed_roots = gate.done();
+  }
+  support::observe_run_status(gate.status());
+  flush_metrics(ws, gate.done());
+  return gate.status() == support::RunStatus::kOk ? finalize(ws.sums)
+                                                  : finalize_partial(ws.sums);
 }
 
 ForestExecutor::MemoStats ForestExecutor::memo_stats(
@@ -342,26 +440,6 @@ std::vector<Count> ForestExecutor::finalize_partial(
   for (std::size_t i = 0; i < plans.size(); ++i)
     if (plans[i].iep_active()) out[i] /= plans[i].iep.divisor;
   return out;
-}
-
-std::vector<Count> ForestExecutor::count_roots(
-    Workspace& ws, std::span<const VertexId> roots,
-    const support::ExecControl* control, support::RunReport* report) const {
-  reset(ws);
-  support::metrics::metric_counter("engine.forest.runs").inc();
-  support::PollGate gate(control);
-  for (VertexId v0 : roots) {
-    accumulate_root(ws, v0);
-    if (gate.completed_unit() != support::RunStatus::kOk) break;
-  }
-  if (report != nullptr) {
-    report->status = gate.status();
-    report->completed_roots = gate.done();
-  }
-  support::observe_run_status(gate.status());
-  flush_metrics(ws, gate.done());
-  return gate.status() == support::RunStatus::kOk ? finalize(ws.sums)
-                                                  : finalize_partial(ws.sums);
 }
 
 std::vector<Count> ForestExecutor::count() const {

@@ -9,12 +9,18 @@
 // Branch model in core/plan_forest.h); terminal counting and IEP term
 // evaluation fire only for plans whose bit survived the path.
 //
-// This is the one in-memory counting walker: a single pattern counts as
-// a one-plan forest (count_embeddings below, and every in-memory backend
-// of GraphPi::count). The executor is immutable after construction and
-// safe to share across threads; all mutable state lives in a Workspace.
-// The parallel runtime (count_batch_parallel in engine/parallel.h)
-// partitions work by root vertex via accumulate_root().
+// This is the one counting walker: a single pattern counts as a one-plan
+// forest (count_embeddings below, and every interpreted backend of
+// GraphPi::count), the parallel runtime (count_batch_parallel in
+// engine/parallel.h) partitions work by root vertex via
+// accumulate_root(), and the sharded distributed runtime (dist/runtime.h)
+// runs one executor per shard. A shard executor is built over the shard's
+// global-id view plus its resident set; a workspace whose `shipper` hook
+// is set hands every step that needs a non-resident adjacency to the hook
+// instead of intersecting, and the hook's completed chains come back
+// through resume_extension(). A null hook is in-memory execution. The
+// executor is immutable after construction and safe to share across
+// threads; all mutable state lives in a Workspace.
 #pragma once
 
 #include <array>
@@ -32,37 +38,44 @@
 
 namespace graphpi {
 
-/// Restriction windows of one trie extension resolved under a concrete
-/// mapping and active-plan mask: the surviving branches' windows and
-/// plan masks, plus their union window (the loop range). Shared by the
-/// in-memory ForestExecutor and the sharded distributed executor so the
-/// window/mask-narrowing semantics live in exactly one place.
-struct ResolvedBranches {
-  std::array<exec::Window, PlanForest::kMaxPlans> windows;
-  std::array<PlanForest::PlanMask, PlanForest::kMaxPlans> masks;
-  std::size_t live = 0;
-  exec::Window union_window{kNoVertexBound, 0};
-
-  /// Plans whose window admits v (narrowing step of the candidate loop).
-  [[nodiscard]] PlanForest::PlanMask mask_at(VertexId v) const noexcept {
-    PlanForest::PlanMask m = 0;
-    for (std::size_t b = 0; b < live; ++b)
-      if (windows[b].contains(v)) m |= masks[b];
-    return m;
-  }
-};
-
-/// Resolves `ext`'s branches against `mapped` under `active`; branches
-/// that are masked out or whose window is empty do not survive.
-[[nodiscard]] ResolvedBranches resolve_branches(
-    const VertexId* mapped, const PlanForest::Extension& ext,
-    PlanForest::PlanMask active);
-
 class ForestExecutor {
  public:
+  /// What a hand-off leaves unfinished at trie node `trie_node`.
+  enum class Step : std::uint8_t {
+    kExtension = 0,  ///< extension `item`'s candidate set and loop
+    kCountLeaf = 1,  ///< count leaf `item`'s intersection
+    kIepNode = 2,    ///< the node's IEP suffix sets and term evaluation
+  };
+  /// The walk state at a step that needs a non-resident adjacency.
+  struct HandOff {
+    std::uint32_t trie_node = 0;
+    Step step = Step::kExtension;
+    std::uint16_t item = 0;
+    PlanForest::PlanMask mask = 0;     ///< active plans at the node
+    std::span<const VertexId> mapped;  ///< schedule depths [0, node depth)
+  };
+  /// The shipping hook (see the file header). hand_off() takes over the
+  /// step: it may finish it on the spot, through resume_extension() or by
+  /// adding to the workspace's sums, or carry it elsewhere.
+  class Shipper {
+   public:
+    virtual void hand_off(const HandOff& h) = 0;
+
+   protected:
+    ~Shipper() = default;
+  };
+
+  /// Residency map entry of a vertex whose adjacency the graph does not
+  /// hold (see the sharded constructor).
+  static constexpr std::uint32_t kNotResident = 0xffffffffu;
+
   /// Mutable traversal state. Construct once per worker and reuse —
   /// steady-state traversals perform no heap allocation.
   struct Workspace {
+    /// Null: in-memory execution. Set: this worker's shipping hook, which
+    /// receives every step that reads a non-resident adjacency. Requires
+    /// an executor built with a residency map.
+    Shipper* shipper = nullptr;
     VertexId mapped[Pattern::kMaxVertices] = {};
     /// Per-depth candidate storage: cand[d] holds the current
     /// predecessor-group intersection for depth d, tmp[d] is the chain
@@ -83,8 +96,8 @@ class ForestExecutor {
     /// repeat (the skipped loop revisits dependency tuples — high
     /// common-neighbor multiplicity), so each table self-tunes: it tracks
     /// its hit rate and shuts itself off (freeing its storage) after a
-    /// probe window below kMemoMinHitNum/Den. Correctness never depends
-    /// on a hit.
+    /// probe window below kMemoMinHitNum/Den. The first window is the
+    /// cold fill and is never judged. Correctness never depends on a hit.
     struct MemoTable {
       std::vector<std::uint64_t> keys;  ///< kEmptyKey marks a free slot
       std::vector<Count> values;
@@ -139,29 +152,21 @@ class ForestExecutor {
   /// index when any plan wants it.
   ForestExecutor(const Graph& graph, const PlanForest& forest);
 
+  /// A shard executor: `graph` holds adjacency only for the vertices v
+  /// with residency[v] != kNotResident (both must outlive the executor).
+  /// Workspaces with a shipping hook hand the other steps off.
+  ForestExecutor(const Graph& graph, const PlanForest& forest,
+                 std::span<const std::uint32_t> residency);
+
   /// One full traversal; returns the finalized per-plan counts, indexed
-  /// like forest().plans(). An armed `control` turns this into
-  /// count_roots() over every vertex; `report` (optional) receives the
-  /// status and completed-root tally, |V| for a complete run.
+  /// like forest().plans(). An armed `control` is polled stride-gated
+  /// after each root; on a stop the remaining roots are skipped and the
+  /// partial sums are finalized without the IEP divisibility check
+  /// (best-effort counts). `report` (optional) receives the status and
+  /// completed-root tally, |V| for a complete run.
   [[nodiscard]] std::vector<Count> count() const;
   [[nodiscard]] std::vector<Count> count(
       Workspace& ws, const support::ExecControl* control = nullptr,
-      support::RunReport* report = nullptr) const;
-
-  /// Traversal restricted to an explicit depth-0 vertex domain: counts
-  /// only embeddings rooted at `roots` (duplicates count twice — pass a
-  /// set). This is the shard-local entry point of the distributed
-  /// runtime: a node that owns a subset of the vertex space runs the
-  /// whole forest over exactly its owned roots. Equals count() when
-  /// `roots` is the full vertex range.
-  ///
-  /// An armed `control` is polled stride-gated after each root; on a stop
-  /// the remaining roots are skipped and the partial sums are finalized
-  /// without the IEP divisibility check (best-effort counts). `report`
-  /// receives the status and completed-root tally.
-  [[nodiscard]] std::vector<Count> count_roots(
-      Workspace& ws, std::span<const VertexId> roots,
-      const support::ExecControl* control = nullptr,
       support::RunReport* report = nullptr) const;
 
   /// Zeroes ws.sums (sizing it to the plan count). Call once before a
@@ -170,8 +175,26 @@ class ForestExecutor {
 
   /// Runs the forest with the depth-0 loop pinned to `v0`, adding
   /// undivided per-plan sums into ws.sums — the work unit of the parallel
-  /// batch runtime. A 1-vertex plan counts the root itself.
+  /// batch runtime and of every distributed worker. A 1-vertex plan
+  /// counts the root itself.
   void accumulate_root(Workspace& ws, VertexId v0) const;
+
+  /// Restriction window of extension `item` of trie node `trie_node`
+  /// under `mapped` and `mask`: the union of the surviving branches'
+  /// windows, empty when none survives. A hand-off's chain clamps the
+  /// candidate set it builds to this window.
+  [[nodiscard]] exec::Window extension_window(const VertexId* mapped,
+                                              std::uint32_t trie_node,
+                                              std::uint16_t item,
+                                              PlanForest::PlanMask mask) const;
+
+  /// Resumes a handed-off extension: runs its candidate loop over
+  /// `candidates` (sorted, already intersected) and the subtree below,
+  /// exactly as the walk would have. ws.mapped must hold the hand-off's
+  /// mapped prefix.
+  void resume_extension(Workspace& ws, std::uint32_t trie_node,
+                        std::uint16_t item, PlanForest::PlanMask mask,
+                        std::span<const VertexId> candidates) const;
 
   /// Converts aggregated undivided sums into final per-plan counts
   /// (divides IEP plans by their surviving-automorphism factor x).
@@ -205,10 +228,27 @@ class ForestExecutor {
   void flush_metrics(Workspace& ws, std::uint64_t roots) const;
 
  private:
+  /// An extension's restriction windows resolved under the current
+  /// mapping and active mask (defined in forest.cpp).
+  struct Branches;
+
   void exec_node(Workspace& ws, const PlanForest::Node& node,
                  PlanForest::PlanMask active) const;
-  void eval_leaves(Workspace& ws, const PlanForest::Node& node,
+  /// False when the node's IEP step was handed off, so its suffix sets
+  /// were not built on this visit.
+  bool eval_leaves(Workspace& ws, const PlanForest::Node& node,
                    PlanForest::PlanMask active) const;
+  void run_loop(Workspace& ws, const PlanForest::Extension& ext,
+                const Branches& rb, std::span<const VertexId> cands,
+                int depth) const;
+  [[nodiscard]] bool resident(std::span<const int> preds,
+                              const VertexId* mapped) const noexcept {
+    for (int p : preds)
+      if (residency_[mapped[p]] == kNotResident) return false;
+    return true;
+  }
+  void hand_off(Workspace& ws, const PlanForest::Node& node, Step step,
+                std::size_t item, PlanForest::PlanMask active) const;
   Count memoized_raw_count(Workspace& ws, int memo_id,
                            std::span<const int> key_depths,
                            std::span<const int> preds,
@@ -217,6 +257,7 @@ class ForestExecutor {
 
   const Graph* graph_;
   const PlanForest* forest_;
+  const std::uint32_t* residency_ = nullptr;  ///< null: everything resident
   std::uint64_t id_;  ///< process-unique (see Workspace::bound_executor)
 };
 

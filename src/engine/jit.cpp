@@ -279,6 +279,10 @@ std::optional<std::vector<Count>> run_generated(const Graph& graph,
                                                 int threads,
                                                 const support::ExecControl* control,
                                                 support::RunReport* report) {
+  // Generated kernels have no root terminal: a 1-vertex plan is left to
+  // the interpreter.
+  for (const Plan& plan : forest.plans())
+    if (plan.size() < 2) return std::nullopt;
   GeneratedBatchFn fn = KernelCache::instance().get(forest);
   if (fn == nullptr) return std::nullopt;
   const support::trace::Span span("generated.run");

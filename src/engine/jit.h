@@ -90,7 +90,8 @@ class KernelCache {
 /// cached kernel. Kernels are compiled with OpenMP when the system
 /// compiler supports -fopenmp, and partition the root loop over
 /// `threads` workers (<= 0: runtime default). nullopt when the JIT is
-/// unavailable — callers fall back to the interpreter.
+/// unavailable or a plan has fewer than 2 steps — callers fall back to
+/// the interpreter.
 ///
 /// An armed `control` maps onto the v3 kernel ABI: poll stride and root
 /// budget pass straight through, while deadlines and the caller's cancel

@@ -328,7 +328,6 @@ void Server::run_job(Job& job) {
     options.work_budget = req.work_budget;
     options.poll_stride = req.poll_stride;
     options.cancel = &cancel_;
-    options.task_depth = config_.dist_task_depth;
     options.dist_exec = config_.dist_exec;
     options.dist_workers = config_.dist_workers;
     support::RunReport report;

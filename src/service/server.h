@@ -66,7 +66,6 @@ struct ServiceConfig {
   /// Per-request validation bounds (protocol.h).
   RequestLimits limits;
   /// Distributed execution shape for shard-serving mode.
-  int dist_task_depth = 1;
   dist::ExecMode dist_exec = dist::ExecMode::kLockstep;
   int dist_workers = 1;
 };

@@ -58,20 +58,30 @@ TEST(DistBatch, PoisonedNonResidentAdjacencyDoesNotChangeCounts) {
   // ever read adjacency outside its own shard.
   const Graph g = clustered_power_law(70, 280, 2.2, 0.5, 22);
   const GraphPi engine(g);
-  const std::vector<Pattern> ps = boundary_patterns();
-  std::vector<Count> expected;
-  for (const Pattern& p : ps) expected.push_back(engine.count(p));
-  const PlanForest forest = engine.plan_batch(ps);
-  for (const auto strategy :
-       {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
-    for (int nodes : {2, 3}) {
-      dist::ShardOptions shard_options;
-      shard_options.nodes = nodes;
-      shard_options.strategy = strategy;
-      shard_options.poison_nonresident = true;
-      const dist::ShardedGraph sharded(g, shard_options);
-      EXPECT_EQ(dist::distributed_count_batch(sharded, forest), expected)
-          << "nodes=" << nodes << " strategy=" << dist::to_string(strategy);
+  // The census4 forest copies an IEP suffix set as an extension's
+  // candidates and memoizes a leaf, so both of those shard paths run
+  // against the garbage rows too.
+  const std::vector<Pattern> batches[] = {boundary_patterns(),
+                                          patterns::connected_motifs(4)};
+  const PlanForest census = engine.plan_batch(batches[1]);
+  ASSERT_TRUE(testing::reuses_suffix_set(census));
+  ASSERT_GE(census.stats().memoized_leaves, 1u);
+  for (const std::vector<Pattern>& ps : batches) {
+    std::vector<Count> expected;
+    for (const Pattern& p : ps) expected.push_back(engine.count(p));
+    const PlanForest forest = engine.plan_batch(ps);
+    for (const auto strategy :
+         {PartitionStrategy::kHash, PartitionStrategy::kRange}) {
+      for (int nodes : {2, 3}) {
+        dist::ShardOptions shard_options;
+        shard_options.nodes = nodes;
+        shard_options.strategy = strategy;
+        shard_options.poison_nonresident = true;
+        const dist::ShardedGraph sharded(g, shard_options);
+        EXPECT_EQ(dist::distributed_count_batch(sharded, forest), expected)
+            << ps.size() << " patterns, nodes=" << nodes
+            << " strategy=" << dist::to_string(strategy);
+      }
     }
   }
 }
@@ -105,7 +115,7 @@ TEST(DistBatch, BoundaryCrossingPatternShipsCandidateBytes) {
               stats.continuation_messages + stats.count_messages);
     EXPECT_EQ(stats.retransmits, 0u);
     EXPECT_EQ(stats.corrupt_frames_detected, 0u);
-    EXPECT_EQ(stats.tasks_per_node.size(), 3u);
+    EXPECT_EQ(stats.seconds_per_node.size(), 3u);
     EXPECT_GT(stats.replication_factor, 1.0);
   }
 }
@@ -145,22 +155,6 @@ TEST(DistBatch, BatchEqualsPerPatternOnDistributedBackend) {
   }
 }
 
-TEST(DistBatch, TaskDepthDoesNotChangeCounts) {
-  const Graph g = clustered_power_law(60, 250, 2.3, 0.4, 24);
-  const GraphPi engine(g);
-  const Configuration config = engine.plan(patterns::house());
-  const Count expected = count_embeddings(g, config);
-  for (int depth : {1, 2, 3, 5}) {
-    ClusterOptions options;
-    options.nodes = 3;
-    options.task_depth = depth;
-    ClusterStats stats;
-    EXPECT_EQ(dist::distributed_count(g, config, options, &stats), expected)
-        << "task_depth=" << depth;
-    EXPECT_GT(stats.total_tasks, 0u);
-  }
-}
-
 TEST(DistBatch, SingleNodeRunsLocallyWithoutMessages) {
   const Graph g = erdos_renyi(50, 220, 25);
   const GraphPi engine(g);
@@ -174,7 +168,6 @@ TEST(DistBatch, SingleNodeRunsLocallyWithoutMessages) {
   EXPECT_EQ(dist::distributed_count_batch(g, forest, options, &stats),
             expected);
   EXPECT_EQ(stats.messages, 0u);
-  EXPECT_EQ(stats.total_tasks, g.vertex_count());
   EXPECT_EQ(stats.owned_per_node, std::vector<std::uint32_t>{g.vertex_count()});
 }
 
@@ -192,7 +185,6 @@ TEST(DistBatch, ApiStatsOutAndForestOverload) {
   ClusterStats stats;
   opt.cluster_stats = &stats;
   EXPECT_EQ(engine.count_batch(motifs, opt), expected);
-  EXPECT_GT(stats.total_tasks, 0u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_EQ(stats.owned_per_node.size(), 3u);
 

@@ -17,6 +17,7 @@
 #include "engine/forest.h"
 #include "engine/matcher.h"
 #include "engine/parallel.h"
+#include "graph/datasets.h"
 #include "graph/vertex_set.h"
 #include "test_util.h"
 
@@ -155,6 +156,26 @@ void expect_fixed_memo_footprint(const ForestExecutor::Workspace& ws,
     EXPECT_LE(table.keys.size(), ForestExecutor::kMemoSlots) << where;
     EXPECT_LE(table.values.size(), ForestExecutor::kMemoSlots) << where;
   }
+}
+
+TEST(Batch, MemoReviewSkipsTheColdFill) {
+  // The pentagon's leaf table hits ~95% once warm, but its first 2^16
+  // probes are mostly fill misses (~66%, under the 2/3 keep-alive rate);
+  // judging that window used to switch the table off.
+  const Graph g = datasets::load("wiki_vote", 0.1);
+  const GraphPi engine(g);
+  const std::vector<Pattern> ps = {patterns::pentagon(), patterns::house(),
+                                   patterns::evaluation_pattern(2)};
+  const PlanForest forest = engine.plan_batch(ps);
+  ASSERT_GE(forest.stats().memoized_leaves, 1u);
+  ForestExecutor::Workspace ws;
+  EXPECT_EQ(ForestExecutor(g, forest).count(ws),
+            per_pattern_reference(engine, ps));
+  const ForestExecutor::MemoStats memo = ForestExecutor::memo_stats(ws);
+  EXPECT_EQ(memo.shutoffs, 0u);
+  ASSERT_GT(memo.lookups, ForestExecutor::kMemoProbeWindow);
+  EXPECT_GE(static_cast<double>(memo.hits) / static_cast<double>(memo.lookups),
+            0.8);
 }
 
 TEST(Batch, MemoTablesKeepTheirFixedFootprint) {

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "api/graphpi.h"
 #include "core/automorphism.h"
 #include "core/configuration.h"
 #include "core/plan_forest.h"
@@ -155,6 +156,26 @@ TEST(Matcher, SingleVertexPatternCountsEveryVertexOnEveryPath) {
     ++listed;
   });
   EXPECT_EQ(listed, g.vertex_count());
+
+  // The generated backend declines a 1-step plan and falls back to the
+  // interpreter; the sharded runtime counts each owned root once. Alone
+  // and batched next to a triangle.
+  const GraphPi engine(g);
+  const std::vector<Pattern> batch = {single, patterns::clique(3)};
+  const std::vector<Count> want = {g.vertex_count(), g.triangle_count()};
+  MatchOptions generated;
+  generated.backend = Backend::kGenerated;
+  MatchOptions lockstep;
+  lockstep.backend = Backend::kDistributed;
+  lockstep.nodes = 3;
+  MatchOptions async = lockstep;
+  async.dist_exec = dist::ExecMode::kAsync;
+  const std::pair<const char*, MatchOptions> arms[] = {
+      {"generated", generated}, {"lockstep", lockstep}, {"async", async}};
+  for (const auto& [label, options] : arms) {
+    EXPECT_EQ(engine.count(single, options), g.vertex_count()) << label;
+    EXPECT_EQ(engine.count_batch(batch, options), want) << label;
+  }
 }
 
 }  // namespace

@@ -71,15 +71,22 @@ TEST(Observability, ParallelCountFeedsWorkerCounters) {
 TEST(Observability, DistributedRunBridgesClusterStats) {
   const Graph g = census_graph();
   const GraphPi engine(g);
-  MatchOptions options;
-  options.backend = Backend::kDistributed;
-  options.nodes = 3;
-  const Snapshot delta = metered(
-      [&] { (void)engine.count(patterns::house(), options); });
-  EXPECT_EQ(delta.counter_or("dist.runs"), 1u);
-  EXPECT_GT(delta.counter_or("dist.tasks"), 0u);
-  EXPECT_GT(delta.counter_or("dist.messages"), 0u);
-  EXPECT_GT(delta.counter_or("dist.bytes"), 0u);
+  for (const dist::ExecMode exec :
+       {dist::ExecMode::kLockstep, dist::ExecMode::kAsync}) {
+    MatchOptions options;
+    options.backend = Backend::kDistributed;
+    options.nodes = 3;
+    options.dist_exec = exec;
+    const Snapshot delta = metered(
+        [&] { (void)engine.count(patterns::house(), options); });
+    EXPECT_EQ(delta.counter_or("dist.runs"), 1u) << dist::to_string(exec);
+    // Every node's workers run the one forest walker over its owned roots.
+    EXPECT_EQ(delta.counter_or("engine.forest.roots_completed"),
+              static_cast<std::uint64_t>(g.vertex_count()))
+        << dist::to_string(exec);
+    EXPECT_GT(delta.counter_or("dist.messages"), 0u) << dist::to_string(exec);
+    EXPECT_GT(delta.counter_or("dist.bytes"), 0u) << dist::to_string(exec);
+  }
 }
 
 TEST(Observability, BoundedRunsRecordStopStatus) {

@@ -6,6 +6,7 @@
 
 #include "core/pattern.h"
 #include "core/pattern_library.h"
+#include "core/plan_forest.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/vertex_set.h"
@@ -54,6 +55,15 @@ inline std::vector<Pattern> assorted_patterns() {
       star(5),           path(4),         clique(5),
       evaluation_pattern(2),              evaluation_pattern(4),
   };
+}
+
+/// True when some extension of `forest` copies a node's IEP suffix set as
+/// its candidates instead of intersecting (Extension::reuse_suffix_def).
+inline bool reuses_suffix_set(const PlanForest& forest) {
+  for (const PlanForest::Node& node : forest.nodes())
+    for (const PlanForest::Extension& ext : node.extensions)
+      if (ext.reuse_suffix_def >= 0) return true;
+  return false;
 }
 
 }  // namespace graphpi::testing

@@ -86,7 +86,7 @@ int usage() {
   stats <graph>
   count <graph> <pattern> [--no-iep] [--parallel] [--nodes N]
         [--partition hash|range] [--exec lockstep|async] [--dist-workers W]
-        [--mailbox CAP] [--task-depth D] [--threads T]
+        [--mailbox CAP] [--threads T]
         [--backend serial|parallel|generated] [--emit <file.cpp>]
         [--timeout-ms X] [--budget N] [--poll-stride S]
         [--metrics-json <file>] [--trace-json <file>]
@@ -107,10 +107,8 @@ pattern: triangle|rectangle|house|pentagon|hourglass|cycle6tri|
 compiler is found). Generated kernels run their root loop in parallel;
 --threads caps the worker count for both the parallel and generated
 backends (default: all cores); both split the work by root vertex.
---task-depth applies to the distributed backend only (--nodes): the
-schedule depth at which a node cuts its descent into tasks. --emit writes
-the generated C++ kernel for the planned configuration without requiring
-that backend.
+--emit writes the generated C++ kernel for the planned configuration
+without requiring that backend.
 --timeout-ms / --budget bound the run (any backend): on expiry the count
 is a best-effort partial and a "status:" line reports why it stopped and
 how many root vertices completed. --fault-* inject seeded deterministic
@@ -172,8 +170,6 @@ int cmd_count(const std::string& graph_spec, const std::string& pattern_spec,
       options.backend = Backend::kDistributed;
       options.nodes = static_cast<int>(int_flag(arg, argv[++i], 1, 1024));
     }
-    if (arg == "--task-depth" && i + 1 < argc)
-      options.task_depth = static_cast<int>(int_flag(arg, argv[++i], 1, 8));
     if (arg == "--threads" && i + 1 < argc)
       options.threads = static_cast<int>(int_flag(arg, argv[++i], 0, 4096));
     if (arg == "--partition" && i + 1 < argc) {
@@ -288,9 +284,9 @@ int cmd_count(const std::string& graph_spec, const std::string& pattern_spec,
   if (options.backend == Backend::kDistributed) {
     std::cout << "sharded run: " << options.nodes << " nodes ("
               << dist::to_string(options.partition) << ", "
-              << dist::to_string(options.dist_exec) << "), tasks "
-              << stats.total_tasks << ", messages " << stats.messages << " ("
-              << stats.bytes << " B), shipped candidate vertices "
+              << dist::to_string(options.dist_exec) << "), messages "
+              << stats.messages << " (" << stats.bytes
+              << " B), shipped candidate vertices "
               << stats.shipped_set_vertices << "\n";
     if (options.dist_exec == dist::ExecMode::kAsync)
       std::cout << "async runtime: " << options.dist_workers

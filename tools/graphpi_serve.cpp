@@ -51,7 +51,6 @@ options:
   --allow-debug       enable {"cmd":"sleep"} (deterministic load tests)
   --dist-exec MODE    shards mode: lockstep|async (default lockstep)
   --dist-workers N    shards mode, async: workers per node (default 1)
-  --dist-task-depth N shards mode: task cut depth (default 1)
 The server answers one JSON object per request line; see docs/SERVICE.md
 for the wire protocol. SIGTERM/SIGINT drain and exit.
 )";
@@ -131,8 +130,6 @@ int main(int argc, char** argv) {
                             mode + "'"};
       } else if (arg == "--dist-workers") {
         config.dist_workers = int_arg(argc, argv, i, 1, 64);
-      } else if (arg == "--dist-task-depth") {
-        config.dist_task_depth = int_arg(argc, argv, i, 1, 8);
       } else if (arg == "--help" || arg == "-h") {
         return usage();
       } else {
