@@ -58,34 +58,34 @@ std::string depth_list(std::span<const int> depths) {
 }
 
 // ---------------------------------------------------------------------------
-// Prelude: ABI mirror structs, portable fallback kernels, hub-aware
-// intersection helpers. Everything the per-plan emission composes.
+// Prelude: ABI mirror structs and the inline probes the per-plan emission
+// composes. Buffers and the chains that grow them live behind the ops
+// table, so the prelude needs no library header beyond <cstdint>.
 // ---------------------------------------------------------------------------
 
 void emit_prelude(Emitter& e) {
   e.line("// Auto-generated by GraphPi codegen (plan IR). Do not edit.");
   e.line("//");
   e.line("// Self-contained C++17 (GCC/Clang: __int128 is used for IEP");
-  e.line("// term products). The entry point takes the graph view and,");
-  e.line("// optionally, the host's runtime-dispatched set kernels through");
-  e.line("// the C ABI of codegen/kernel_abi.h; pass ops == nullptr to run");
-  e.line("// on the inline fallback kernels below. Compiled with OpenMP");
+  e.line("// term products). The entry point takes the graph view and an");
+  e.line("// ops table (set kernels, buffer growth, intersection chains)");
+  e.line("// through the C ABI of codegen/kernel_abi.h. Compiled with OpenMP");
   e.line("// (-fopenmp) the root-vertex loop runs in parallel; without it");
   e.line("// the same source degrades to the serial loop.");
-  e.line("#include <cstddef>");
   e.line("#include <cstdint>");
-  e.line("#include <vector>");
   e.line("#if defined(_OPENMP)");
   e.line("#include <omp.h>");
   e.line("#endif");
   e.line();
   e.open("namespace");
-  e.line("using u32 = std::uint32_t;");
-  e.line("using u64 = std::uint64_t;");
+  e.line("using u32 = uint32_t;");
+  e.line("using u64 = uint64_t;");
+  e.line("using i32 = int32_t;");
   e.line();
   e.line("constexpr u32 kNoBound = 0xffffffffu;");
   e.line();
-  e.line("// ABI mirror of codegen/kernel_abi.h, version 3.");
+  e.line("// ABI mirror of codegen/kernel_abi.h, version " +
+         std::to_string(kKernelAbiVersion) + ".");
   e.open("struct GenGraph");
   e.line("const u64* offsets;");
   e.line("const u32* neighbors;");
@@ -93,6 +93,12 @@ void emit_prelude(Emitter& e) {
   e.line("const u32* hub_slot;  // null = no hub index; 0xffffffff = not a hub");
   e.line("const u64* hub_bits;");
   e.line("u64 hub_words;");
+  e.close(";");
+  e.line("// A buffer the kernel fills; only ops.grow / ops.release allocate.");
+  e.open("struct GenBuf");
+  e.line("u32* data;");
+  e.line("u64 size;");
+  e.line("u64 capacity;");
   e.close(";");
   e.open("struct GenOps");
   e.line("u64 (*intersect)(const u32* a, u64 an, const u32* b, u64 bn, u32* out);");
@@ -102,14 +108,27 @@ void emit_prelude(Emitter& e) {
          "u32* out);");
   e.line("u64 (*intersect_size_bitmap_bounded)(const u32* a, u64 an, "
          "const u64* bits, u32 lo, u32 hi);");
+  e.line("void (*grow)(GenBuf* buf, u64 need);  // capacity >= need; may drop "
+         "contents");
+  e.line("void (*release)(GenBuf* buf);");
+  e.line("// set = ∩_j N(vs[j]) (hub-aware; nv >= 1).");
+  e.line("void (*build_isect)(const GenGraph* g, const u32* vs, u64 nv, "
+         "GenBuf* set, GenBuf* scr);");
+  e.line("// |∩_j N(vs[j]) ∩ [lo, hi)| (hub-aware, size-only last step; "
+         "nv >= 3).");
+  e.line("u64 (*isect_size_chain_bounded)(const GenGraph* g, const u32* vs, "
+         "u64 nv, u32 lo, u32 hi, GenBuf* buf, GenBuf* scr);");
+  e.line("// |∩_j *sets[j]| (IEP blocks of ns >= 3 sets).");
+  e.line("u64 (*isect_size_set_chain)(const GenBuf* const* sets, u64 ns, "
+         "GenBuf* scr_a, GenBuf* scr_b);");
   e.close(";");
   e.open("struct GenRun");
-  e.line("std::int32_t threads;  // <= 0: OpenMP runtime default");
+  e.line("i32 threads;           // <= 0: OpenMP runtime default");
   e.line("u32 poll_stride;       // roots between stop checks; 0 = 64");
-  e.line("const volatile std::int32_t* cancel;  // nonzero = stop; null = never");
+  e.line("const volatile i32* cancel;  // nonzero = stop; null = never");
   e.line("u64 root_budget;       // stop after ~this many roots; 0 = unlimited");
   e.line("u64* completed_roots;  // out: roots fully processed (optional)");
-  e.line("std::int32_t* stop_reason;  // out: 0 done, 1 cancelled, 2 budget");
+  e.line("i32* stop_reason;      // out: 0 done, 1 cancelled, 2 budget");
   e.close(";");
   e.line();
   e.line("// First index of sorted a[0..n) holding a value >= x.");
@@ -121,54 +140,6 @@ void emit_prelude(Emitter& e) {
   e.close();
   e.line("return lo;");
   e.close();
-  e.line();
-  e.line("// Portable fallback kernels (sorted-merge / bitmap probes) used");
-  e.line("// when the host passes no ops table.");
-  e.open("u64 fb_intersect(const u32* a, u64 an, const u32* b, u64 bn, "
-         "u32* out)");
-  e.line("u64 i = 0, j = 0, n = 0;");
-  e.open("while (i < an && j < bn)");
-  e.line("if (a[i] < b[j]) ++i;");
-  e.line("else if (a[i] > b[j]) ++j;");
-  e.line("else { out[n++] = a[i]; ++i; ++j; }");
-  e.close();
-  e.line("return n;");
-  e.close();
-  e.open("u64 fb_intersect_size_bounded(const u32* a, u64 an, const u32* b, "
-         "u64 bn, u32 lo, u32 hi)");
-  e.line("u64 i = lo != 0 ? lb(a, an, lo) : 0;");
-  e.line("u64 j = lo != 0 ? lb(b, bn, lo) : 0;");
-  e.line("u64 n = 0;");
-  e.open("while (i < an && j < bn)");
-  e.line("if (a[i] >= hi || b[j] >= hi) break;");
-  e.line("if (a[i] < b[j]) ++i;");
-  e.line("else if (a[i] > b[j]) ++j;");
-  e.line("else { ++n; ++i; ++j; }");
-  e.close();
-  e.line("return n;");
-  e.close();
-  e.open("u64 fb_intersect_bitmap(const u32* a, u64 an, const u64* bits, "
-         "u32* out)");
-  e.line("u64 n = 0;");
-  e.open("for (u64 i = 0; i < an; ++i)");
-  e.line("const u32 v = a[i];");
-  e.line("if ((bits[v >> 6] >> (v & 63)) & 1u) out[n++] = v;");
-  e.close();
-  e.line("return n;");
-  e.close();
-  e.open("u64 fb_intersect_size_bitmap_bounded(const u32* a, u64 an, "
-         "const u64* bits, u32 lo, u32 hi)");
-  e.line("u64 n = 0;");
-  e.open("for (u64 i = lo != 0 ? lb(a, an, lo) : 0; i < an; ++i)");
-  e.line("const u32 v = a[i];");
-  e.line("if (v >= hi) break;");
-  e.line("n += (bits[v >> 6] >> (v & 63)) & 1u;");
-  e.close();
-  e.line("return n;");
-  e.close();
-  e.line("constexpr GenOps kFallbackOps = {&fb_intersect, "
-         "&fb_intersect_size_bounded, &fb_intersect_bitmap, "
-         "&fb_intersect_size_bitmap_bounded};");
   e.line();
   e.open("inline const u64* hub_row(const GenGraph& g, u32 v)");
   e.line("if (g.hub_slot == nullptr) return nullptr;");
@@ -234,6 +205,12 @@ void emit_prelude(Emitter& e) {
          "return k.intersect_size_bitmap_bounded(av, nv, bu, lo, hi);");
   e.line("return k.intersect_size_bounded(au, nu, av, nv, lo, hi);");
   e.close();
+  e.line("// |a ∩ b| over materialized sets (IEP block factors).");
+  e.open("inline u64 isect_size_sets(const GenOps& k, const GenBuf& a, "
+         "const GenBuf& b)");
+  e.line("return k.intersect_size_bounded(a.data, a.size, b.data, b.size, 0u, "
+         "kNoBound);");
+  e.close();
   e.line("// |[lo, hi) ∩ [0, n_vertices)| — the 0-predecessor leaf.");
   e.open("inline u64 range_count(const GenGraph& g, u32 lo, u32 hi)");
   e.line("const u32 cap = hi < g.n_vertices ? hi : g.n_vertices;");
@@ -247,88 +224,38 @@ void emit_prelude(Emitter& e) {
   e.line("const u64 last = hi == kNoBound ? n : lb(a, n, hi);");
   e.line("return last > first ? last - first : 0;");
   e.close();
-  e.line();
-  e.open("inline void grow(std::vector<u32>& buf, u64 need)");
-  e.line("if (buf.size() < need) buf.resize(need);");
-  e.close();
-  e.open("inline void remove_value(std::vector<u32>& set, u32 v)");
-  e.line("const u64 i = lb(set.data(), set.size(), v);");
-  e.line("if (i < set.size() && set[i] == v) "
-         "set.erase(set.begin() + static_cast<std::ptrdiff_t>(i));");
-  e.close();
-  e.line();
-  e.line("// Materializes ∩_j N(vs[j]) into set (hub-aware chain; nv >= 1).");
-  e.open("void build_isect(const GenGraph& g, const GenOps& k, const u32* vs, "
-         "u64 nv, std::vector<u32>& set, std::vector<u32>& scr)");
-  e.line("u64 n0; const u32* a0 = adj(g, vs[0], n0);");
-  e.line("if (nv == 1) { set.assign(a0, a0 + n0); return; }");
-  e.line("grow(set, n0 + 8);");
-  e.line("u64 n = isect_adj(g, k, vs[0], vs[1], set.data());");
-  e.open("for (u64 j = 2; j < nv; ++j)");
-  e.line("grow(scr, n + 8);");
-  e.line("n = isect_refine(g, k, set.data(), n, vs[j], scr.data());");
-  e.line("set.swap(scr);");
-  e.close();
-  e.line("set.resize(n);");
-  e.close();
-  e.line("// |∩_j N(vs[j]) ∩ [lo, hi)| with a size-only final step (nv >= 2).");
-  e.open("u64 isect_size_chain_bounded(const GenGraph& g, const GenOps& k, "
-         "const u32* vs, u64 nv, u32 lo, u32 hi, std::vector<u32>& buf, "
-         "std::vector<u32>& scr)");
-  e.line("if (nv == 2) return isect_size_adj_bounded(g, k, vs[0], vs[1], lo, "
-         "hi);");
-  e.line("u64 n0; (void)adj(g, vs[0], n0);");
-  e.line("grow(buf, n0 + 8);");
-  e.line("u64 n = isect_adj(g, k, vs[0], vs[1], buf.data());");
-  e.open("for (u64 j = 2; j + 1 < nv; ++j)");
-  e.line("grow(scr, n + 8);");
-  e.line("n = isect_refine(g, k, buf.data(), n, vs[j], scr.data());");
-  e.line("buf.swap(scr);");
-  e.close();
-  e.line("return isect_size_refine_bounded(g, k, buf.data(), n, vs[nv - 1], "
-         "lo, hi);");
-  e.close();
-  e.line("// |a ∩ b| over materialized sets (IEP block factors).");
-  e.open("inline u64 isect_size_sets(const GenOps& k, "
-         "const std::vector<u32>& a, const std::vector<u32>& b)");
-  e.line("return k.intersect_size_bounded(a.data(), a.size(), b.data(), "
-         "b.size(), 0u, kNoBound);");
-  e.close();
-  e.line("// |∩_j *sets[j]| for blocks of 3+ sets (ns >= 3).");
-  e.open("u64 isect_size_set_chain(const GenOps& k, "
-         "const std::vector<u32>* const* sets, u64 ns, std::vector<u32>& "
-         "scr_a, std::vector<u32>& scr_b)");
-  e.line("const u64 cap = sets[0]->size() < sets[1]->size() ? sets[0]->size() "
-         ": sets[1]->size();");
-  e.line("grow(scr_a, cap + 8);");
-  e.line("u64 n = k.intersect(sets[0]->data(), sets[0]->size(), "
-         "sets[1]->data(), sets[1]->size(), scr_a.data());");
-  e.open("for (u64 j = 2; j + 1 < ns; ++j)");
-  e.line("grow(scr_b, n + 8);");
-  e.line("n = k.intersect(scr_a.data(), n, sets[j]->data(), "
-         "sets[j]->size(), scr_b.data());");
-  e.line("scr_a.swap(scr_b);");
-  e.close();
-  e.line("return k.intersect_size_bounded(scr_a.data(), n, "
-         "sets[ns - 1]->data(), sets[ns - 1]->size(), 0u, kNoBound);");
+  e.open("inline void remove_value(GenBuf& set, u32 v)");
+  e.line("const u64 i = lb(set.data, set.size, v);");
+  e.line("if (i >= set.size || set.data[i] != v) return;");
+  e.line("for (u64 j = i + 1; j < set.size; ++j) set.data[j - 1] = set.data[j];");
+  e.line("--set.size;");
   e.close();
 }
 
 void emit_state(Emitter& e, int max_depth, std::size_t n_plans,
                 std::size_t n_suffix) {
+  const std::string depth = n2s(static_cast<std::uint64_t>(max_depth));
+  const std::string suffix = n2s(std::max<std::size_t>(n_suffix, 1));
   e.line();
   e.line("// Traversal state: the partial embedding by schedule depth plus");
-  e.line("// reusable buffers (mirrors the executor workspaces).");
+  e.line("// reusable buffers (mirrors the executor workspaces). Value-");
+  e.line("// initialize it (State s{};) and free it with release_state.");
   e.open("struct State");
-  e.line("u32 m[" + n2s(static_cast<std::uint64_t>(max_depth)) + "];");
-  e.line("std::vector<u32> cand[" + n2s(static_cast<std::uint64_t>(max_depth)) +
-         "], tmp[" + n2s(static_cast<std::uint64_t>(max_depth)) + "];");
-  e.line("std::vector<u32> sset[" + n2s(std::max<std::size_t>(n_suffix, 1)) +
+  e.line("u32 m[" + depth + "];");
+  e.line("GenBuf cand[" + depth + "], tmp[" + depth + "];");
+  e.line("GenBuf sset[" + suffix +
          "];  // shared IEP suffix sets of the node being evaluated");
-  e.line("std::vector<u32> scr_a, scr_b;");
+  e.line("GenBuf scr_a, scr_b;");
   e.line("u64 sums[" + n2s(n_plans) +
          "];  // per-plan accumulators (undivided IEP sums)");
   e.close(";");
+  e.open("void release_state(const GenOps& k, State& s)");
+  e.line("for (u64 d = 0; d < " + depth +
+         "; ++d) { k.release(&s.cand[d]); k.release(&s.tmp[d]); }");
+  e.line("for (u64 i = 0; i < " + suffix + "; ++i) k.release(&s.sset[i]);");
+  e.line("k.release(&s.scr_a);");
+  e.line("k.release(&s.scr_b);");
+  e.close();
 }
 
 // ---------------------------------------------------------------------------
@@ -387,9 +314,9 @@ struct NodeEmitter {
              hi + ");");
     } else {
       const std::string vs = pred_array(preds);
-      e.line("u64 " + raw + " = isect_size_chain_bounded(g, k, " + vs + ", " +
-             n2s(preds.size()) + ", " + lo + ", " + hi + ", s.cand[" +
-             std::to_string(depth) + "], s.tmp[" + std::to_string(depth) +
+      e.line("u64 " + raw + " = k.isect_size_chain_bounded(&g, " + vs + ", " +
+             n2s(preds.size()) + ", " + lo + ", " + hi + ", &s.cand[" +
+             std::to_string(depth) + "], &s.tmp[" + std::to_string(depth) +
              "]);");
     }
     return raw;
@@ -441,12 +368,13 @@ struct NodeEmitter {
            mask_literal(node.suffix_def_demand_masks[def_idx]) + ") != 0)");
     if (def.empty()) {
       // Disconnected suffix vertex: every vertex is a candidate.
-      e.line(set + ".resize(g.n_vertices);");
-      e.line("for (u32 x = 0; x < g.n_vertices; ++x) " + set + "[x] = x;");
+      e.line("k.grow(&" + set + ", g.n_vertices);");
+      e.line(set + ".size = g.n_vertices;");
+      e.line("for (u32 x = 0; x < g.n_vertices; ++x) " + set + ".data[x] = x;");
     } else {
       const std::string vs = pred_array(def);
-      e.line("build_isect(g, k, " + vs + ", " + n2s(def.size()) + ", " + set +
-             ", s.scr_a);");
+      e.line("k.build_isect(&g, " + vs + ", " + n2s(def.size()) + ", &" + set +
+             ", &s.scr_a);");
     }
     for (int d = 0; d < node.depth; ++d)
       e.line("remove_value(" + set + ", " + mapped(d) + ");");
@@ -463,7 +391,7 @@ struct NodeEmitter {
       std::string factor;
       if (block.size() == 1) {
         factor = "s.sset[" + n2s(static_cast<std::uint64_t>(
-                                 set_ids[block[0]])) + "].size()";
+                                 set_ids[block[0]])) + "].size";
       } else if (block.size() == 2) {
         factor = "isect_size_sets(k, s.sset[" +
                  n2s(static_cast<std::uint64_t>(set_ids[block[0]])) +
@@ -477,10 +405,9 @@ struct NodeEmitter {
           init += "&s.sset[" +
                   n2s(static_cast<std::uint64_t>(set_ids[block[i]])) + "]";
         }
-        e.line("const std::vector<u32>* const " + bs + "[] = {" + init +
-               "};");
-        factor = "isect_size_set_chain(k, " + bs + ", " +
-                 n2s(block.size()) + ", s.scr_a, s.scr_b)";
+        e.line("const GenBuf* const " + bs + "[] = {" + init + "};");
+        factor = "k.isect_size_set_chain(" + bs + ", " + n2s(block.size()) +
+                 ", &s.scr_a, &s.scr_b)";
       }
       e.line(prod + " *= static_cast<__int128>(" + factor + ");");
     }
@@ -530,15 +457,13 @@ struct NodeEmitter {
              mapped(preds[0]) + ", " + len + ");");
     } else {
       const std::string vs = pred_array(preds);
-      e.line("build_isect(g, k, " + vs + ", " + n2s(preds.size()) +
-             ", s.cand[" + std::to_string(depth) + "], s.tmp[" +
-             std::to_string(depth) + "]);");
+      const std::string cand = "s.cand[" + std::to_string(depth) + "]";
+      e.line("k.build_isect(&g, " + vs + ", " + n2s(preds.size()) + ", &" +
+             cand + ", &s.tmp[" + std::to_string(depth) + "]);");
       arr = "a" + id;
       len = "n" + id;
-      e.line("const u32* " + arr + " = s.cand[" + std::to_string(depth) +
-             "].data();");
-      e.line("const u64 " + len + " = s.cand[" + std::to_string(depth) +
-             "].size();");
+      e.line("const u32* " + arr + " = " + cand + ".data;");
+      e.line("const u64 " + len + " = " + cand + ".size;");
     }
     const std::string i = "i" + id;
     const std::string start =
@@ -727,8 +652,7 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.line("// the per-root gate is a single AND+branch. The host arms");
   e.line("// deadlines by flipping `cancel` from a watchdog thread —");
   e.line("// kernels never read clocks.");
-  e.line("const volatile std::int32_t* cancel = "
-         "r != nullptr ? r->cancel : nullptr;");
+  e.line("const volatile i32* cancel = r != nullptr ? r->cancel : nullptr;");
   e.line("const u64 budget = r != nullptr ? r->root_budget : 0;");
   e.line("const u32 stride = "
          "r != nullptr && r->poll_stride != 0 ? r->poll_stride : 64u;");
@@ -738,7 +662,7 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.line("const bool armed = cancel != nullptr || budget != 0;");
   e.line("u64 done_total = 0;");
   e.line("u64 polled_total = 0;  // budget tally, flushed per stride");
-  e.line("std::int32_t reason = 0;");
+  e.line("i32 reason = 0;");
   e.line("#if defined(_OPENMP)");
   e.line("// Root-partitioned parallel traversal (the engine/parallel.h");
   e.line("// root loop): one State per worker, dynamic chunks over the root");
@@ -753,8 +677,7 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
          ": omp_get_max_threads();");
   e.line("#pragma omp parallel num_threads(nth)");
   e.open("");
-  e.line("State s;");
-  e.line("for (u64 i = 0; i < " + np + "; ++i) s.sums[i] = 0;");
+  e.line("State s{};");
   e.line("u64 done = 0;");
   e.line("int stop = 0;");
   e.line("#pragma omp for schedule(dynamic, " +
@@ -765,7 +688,7 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.line("root0(g, k, s, " + all + ", static_cast<u32>(v));");
   e.line("++done;");
   e.open("if (armed && (done & mask) == 0)");
-  e.line("std::int32_t seen;");
+  e.line("i32 seen;");
   e.line("#pragma omp atomic read");
   e.line("seen = reason;");
   e.open("if (seen != 0)");
@@ -794,10 +717,10 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.line("for (u64 i = 0; i < " + np + "; ++i) totals[i] += s.sums[i];");
   e.line("done_total += done;");
   e.close();
+  e.line("release_state(k, s);");
   e.close();
   e.line("#else");
-  e.line("State s;");
-  e.line("for (u64 i = 0; i < " + np + "; ++i) s.sums[i] = 0;");
+  e.line("State s{};");
   e.open("for (u32 v = 0; v < g.n_vertices; ++v)");
   e.line("root0(g, k, s, " + all + ", v);");
   e.line("++done_total;");
@@ -808,6 +731,7 @@ void emit_forest_body(Emitter& e, const PlanForest& forest) {
   e.close();
   e.line("(void)polled_total;");
   e.line("for (u64 i = 0; i < " + np + "; ++i) totals[i] += s.sums[i];");
+  e.line("release_state(k, s);");
   e.line("#endif");
   e.line("if (r != nullptr && r->completed_roots != nullptr) "
          "*r->completed_roots = done_total;");
@@ -857,8 +781,7 @@ std::string generate_source(const Plan& plan, const CodegenOptions& options) {
   e.open("extern \"C\" unsigned long long " + options.function_name +
          "(const void* graph, const void* ops, const void* run_opts)");
   e.line("const GenGraph& g = *static_cast<const GenGraph*>(graph);");
-  e.line("const GenOps& k = ops != nullptr ? "
-         "*static_cast<const GenOps*>(ops) : kFallbackOps;");
+  e.line("const GenOps& k = *static_cast<const GenOps*>(ops);");
   e.line("u64 count = 0;");
   e.line("run(g, k, static_cast<const GenRun*>(run_opts), &count);");
   e.line("return count;");
@@ -890,8 +813,7 @@ std::string generate_forest_source(const PlanForest& forest,
          "(const void* graph, const void* ops, const void* run_opts, "
          "unsigned long long* counts)");
   e.line("const GenGraph& g = *static_cast<const GenGraph*>(graph);");
-  e.line("const GenOps& k = ops != nullptr ? "
-         "*static_cast<const GenOps*>(ops) : kFallbackOps;");
+  e.line("const GenOps& k = *static_cast<const GenOps*>(ops);");
   const std::string np = n2s(forest.plans().size());
   e.line("u64 tmp[" + np + "];");
   e.line("run(g, k, static_cast<const GenRun*>(run_opts), tmp);");
@@ -908,10 +830,120 @@ std::string generate_standalone(const Configuration& config,
 #include <cstdio>
 #include <algorithm>
 #include <fstream>
+#include <string>
 #include <utility>
+#include <vector>
+
+// Portable ops table: sorted-merge / bitmap-probe set kernels and the
+// buffer and chain entries, standing in for the host table a GraphPi
+// process passes, so this program needs nothing but a C++17 compiler.
+namespace {
+u64 fb_intersect(const u32* a, u64 an, const u32* b, u64 bn, u32* out) {
+  u64 i = 0, j = 0, n = 0;
+  while (i < an && j < bn) {
+    if (a[i] < b[j]) ++i;
+    else if (a[i] > b[j]) ++j;
+    else { out[n++] = a[i]; ++i; ++j; }
+  }
+  return n;
+}
+u64 fb_intersect_size_bounded(const u32* a, u64 an, const u32* b, u64 bn,
+                              u32 lo, u32 hi) {
+  u64 i = lo != 0 ? lb(a, an, lo) : 0;
+  u64 j = lo != 0 ? lb(b, bn, lo) : 0;
+  u64 n = 0;
+  while (i < an && j < bn) {
+    if (a[i] >= hi || b[j] >= hi) break;
+    if (a[i] < b[j]) ++i;
+    else if (a[i] > b[j]) ++j;
+    else { ++n; ++i; ++j; }
+  }
+  return n;
+}
+u64 fb_intersect_bitmap(const u32* a, u64 an, const u64* bits, u32* out) {
+  u64 n = 0;
+  for (u64 i = 0; i < an; ++i)
+    if ((bits[a[i] >> 6] >> (a[i] & 63)) & 1u) out[n++] = a[i];
+  return n;
+}
+u64 fb_intersect_size_bitmap_bounded(const u32* a, u64 an, const u64* bits,
+                                     u32 lo, u32 hi) {
+  u64 n = 0;
+  for (u64 i = lo != 0 ? lb(a, an, lo) : 0; i < an && a[i] < hi; ++i)
+    n += (bits[a[i] >> 6] >> (a[i] & 63)) & 1u;
+  return n;
+}
+void fb_grow(GenBuf* buf, u64 need) {
+  if (buf->capacity >= need) return;
+  const u64 capacity = need > 2 * buf->capacity ? need : 2 * buf->capacity;
+  delete[] buf->data;
+  *buf = GenBuf{};
+  buf->data = new u32[capacity];
+  buf->capacity = capacity;
+}
+void fb_release(GenBuf* buf) {
+  delete[] buf->data;
+  *buf = GenBuf{};
+}
+const GenOps& fallback_ops();
+// Leaves the intersection of N(vs[0..last)) in buf; returns its size.
+u64 fb_chain(const GenGraph& g, const u32* vs, u64 last, GenBuf* buf,
+             GenBuf* scr) {
+  u64 n0;
+  (void)adj(g, vs[0], n0);
+  fb_grow(buf, n0 + 8);
+  u64 n = isect_adj(g, fallback_ops(), vs[0], vs[1], buf->data);
+  for (u64 j = 2; j < last; ++j) {
+    fb_grow(scr, n + 8);
+    n = isect_refine(g, fallback_ops(), buf->data, n, vs[j], scr->data);
+    std::swap(*buf, *scr);
+  }
+  return n;
+}
+void fb_build_isect(const GenGraph* g, const u32* vs, u64 nv, GenBuf* set,
+                    GenBuf* scr) {
+  if (nv == 1) {
+    u64 n;
+    const u32* a = adj(*g, vs[0], n);
+    fb_grow(set, n);
+    std::copy(a, a + n, set->data);
+    set->size = n;
+    return;
+  }
+  set->size = fb_chain(*g, vs, nv, set, scr);
+}
+u64 fb_isect_size_chain_bounded(const GenGraph* g, const u32* vs, u64 nv,
+                                u32 lo, u32 hi, GenBuf* buf, GenBuf* scr) {
+  const u64 n = fb_chain(*g, vs, nv - 1, buf, scr);
+  return isect_size_refine_bounded(*g, fallback_ops(), buf->data, n,
+                                   vs[nv - 1], lo, hi);
+}
+u64 fb_isect_size_set_chain(const GenBuf* const* sets, u64 ns, GenBuf* scr_a,
+                            GenBuf* scr_b) {
+  fb_grow(scr_a, std::min(sets[0]->size, sets[1]->size) + 8);
+  u64 n = fb_intersect(sets[0]->data, sets[0]->size, sets[1]->data,
+                       sets[1]->size, scr_a->data);
+  for (u64 j = 2; j + 1 < ns; ++j) {
+    fb_grow(scr_b, n + 8);
+    n = fb_intersect(scr_a->data, n, sets[j]->data, sets[j]->size,
+                     scr_b->data);
+    std::swap(*scr_a, *scr_b);
+  }
+  return fb_intersect_size_bounded(scr_a->data, n, sets[ns - 1]->data,
+                                   sets[ns - 1]->size, 0u, kNoBound);
+}
+const GenOps& fallback_ops() {
+  static constexpr GenOps ops = {
+      &fb_intersect,          &fb_intersect_size_bounded,
+      &fb_intersect_bitmap,   &fb_intersect_size_bitmap_bounded,
+      &fb_grow,               &fb_release,
+      &fb_build_isect,        &fb_isect_size_chain_bounded,
+      &fb_isect_size_set_chain};
+  return ops;
+}
+}  // namespace
 
 // Minimal CSR loader for "u v" edge lists; mirrors graphpi::read_edge_list.
-// The kernel runs on its inline fallback set kernels (ops == nullptr).
 int main(int argc, char** argv) {
   if (argc < 2) { std::fprintf(stderr, "usage: %s edge_list\n", argv[0]); return 1; }
   std::ifstream in(argv[1]);
@@ -935,7 +967,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
   const GenGraph gg{offsets.data(), neighbors.data(), n, nullptr, nullptr, 0};
   std::printf("%llu\n", )" << options.function_name
-      << R"((&gg, nullptr, nullptr));
+      << R"((&gg, &fallback_ops(), nullptr));
   return 0;
 }
 )";

@@ -29,13 +29,18 @@
 //     (serially) without -fopenmp. The thread count arrives through the
 //     ABI's KernelRunOptions.
 //
-// Emitted sources are self-contained C++17 translation units. They take
-// the data graph and, optionally, the host's runtime-dispatched set
-// kernels through the C ABI in kernel_abi.h — with ops == nullptr they
-// run on portable inline fallbacks, so a standalone build needs nothing
-// but a compiler. The execution path is engine/jit.h: KernelCache
-// compiles emitted sources with the system compiler, dlopens the result,
-// and serves Backend::kGenerated.
+// Emitted sources are self-contained C++17 translation units that hold
+// only their plan's loop nest: the trie-node functions, the root loop and
+// small inline probes, with no library header beyond <cstdint> (and
+// <omp.h> under OpenMP) and no std::vector. They take the data graph and
+// an ops table through the C ABI in kernel_abi.h; the table supplies the
+// set kernels, allocates every buffer and runs the multi-way
+// intersection chains, so each kernel compiles in a fraction of the time
+// a self-sufficient one would. The execution path is engine/jit.h:
+// KernelCache compiles emitted sources with the system compiler, dlopens
+// the result, and serves Backend::kGenerated with the host table
+// (host_kernel_ops). generate_standalone appends a portable table and a
+// main, so that program builds with nothing but a compiler.
 //
 // tests/codegen/codegen_exec_test.cpp compiles emitted kernels (plain,
 // IEP, and forest forms) and checks them against ForestExecutor counts
@@ -80,10 +85,11 @@ struct CodegenOptions {
 [[nodiscard]] std::string generate_forest_source(
     const PlanForest& forest, const CodegenOptions& options = {});
 
-/// Emits a complete standalone program: the counting kernel (running on
-/// its inline fallback kernels) plus a main() that loads an edge list
-/// ("u v" lines) from argv[1], builds CSR and prints the count. Useful as
-/// human-readable documentation of what the engine executes.
+/// Emits a complete standalone program: the counting kernel, a portable
+/// ops table (sorted-merge set kernels, heap buffers, the chains) and a
+/// main() that loads an edge list ("u v" lines) from argv[1], builds CSR
+/// and prints the count. Builds with `g++ -O2 -std=c++17` alone. Useful
+/// as human-readable documentation of what the engine executes.
 [[nodiscard]] std::string generate_standalone(const Configuration& config,
                                               const CodegenOptions& options = {});
 

@@ -1,8 +1,9 @@
 // The C ABI between the host and generated kernels.
 //
 // Emitted kernels are self-contained translation units (no GraphPi
-// headers), so they mirror these structs verbatim (as `GenGraph` /
-// `GenOps` / `GenRun` in the emitted source) and take them through opaque
+// headers, no library header beyond <cstdint> and <omp.h>), so they
+// mirror these structs verbatim (as `GenGraph` / `GenBuf` / `GenOps` /
+// `GenRun` in the emitted source) and take them through opaque
 // `const void*` parameters:
 //
 //   extern "C" unsigned long long <name>(const void* graph, const void* ops,
@@ -15,24 +16,32 @@
 // `graph` is the data graph: plain CSR arrays plus the optional hub
 // bitmap index (null slot array when not built — kernels fall back to
 // merge intersections, exactly like the interpreter without the index).
-// `ops` is the host's set-kernel table, routed through the runtime CPU
-// dispatch in graph/vertex_set.h — this is how one compiled kernel serves
-// scalar and vector machines, and how force_scalar_kernels() /
-// select_kernel_isa() apply to generated code too. Kernels accept
-// `ops == nullptr` and fall back to portable inline implementations
-// (the standalone programs emitted by generate_standalone use this).
+// `ops` is the host's ops table and is required (never null). Its set
+// kernels route through the runtime CPU dispatch in graph/vertex_set.h —
+// this is how one compiled kernel serves scalar and vector machines, and
+// how force_scalar_kernels() / select_kernel_isa() apply to generated
+// code too. Its buffer entries own every allocation a kernel makes: a
+// kernel's candidate and scratch buffers are plain `KernelBuf` structs
+// that only the host grows and frees, and the multi-way intersection
+// chains that grow them (candidate sets, size-only chains of 3+
+// adjacencies, IEP blocks of 3+ sets) run on the host. That keeps
+// std::vector and the chain loops out of every kernel, which is most of
+// what a kernel used to cost to compile. The standalone programs of
+// generate_standalone carry portable versions of every entry instead.
 // `run` carries per-invocation execution knobs (KernelRunOptions); null
 // means defaults. Kernels compiled with OpenMP partition the root-vertex
-// loop across threads (each worker owns its traversal state and calls the
-// stateless host ops concurrently — the ops table is safe to share);
-// without OpenMP the same kernel degrades to the serial loop.
+// loop across threads (each worker owns its traversal state and buffers
+// and calls the stateless host ops concurrently — the ops table is safe
+// to share); without OpenMP the same kernel degrades to the serial loop.
 //
 // Any layout or calling-convention change here MUST bump
 // kKernelAbiVersion; the KernelCache (engine/jit.h) refuses to run a
-// dlopened kernel whose <name>_abi() disagrees (version 1 kernels lacked
-// the `run` parameter; version 2 lacked the cancellation/budget fields of
-// KernelRunOptions) and transparently recompiles or falls back to the
-// interpreter instead.
+// dlopened kernel whose <name>_abi() disagrees and transparently
+// recompiles or falls back to the interpreter instead. Version 1 kernels
+// lacked the `run` parameter; version 2 lacked the cancellation/budget
+// fields of KernelRunOptions; version 3 lacked the buffer and chain
+// entries of KernelOps (kernels held std::vector buffers and their own
+// chain loops, and accepted ops == nullptr for inline fallbacks).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +50,7 @@
 
 namespace graphpi::codegen {
 
-inline constexpr unsigned kKernelAbiVersion = 3;
+inline constexpr unsigned kKernelAbiVersion = 4;
 
 /// CSR view + optional hub index handed to a generated kernel. Mirrored
 /// as `GenGraph` in emitted sources — field order and types are the ABI.
@@ -55,9 +64,20 @@ struct KernelGraph {
   std::uint64_t hub_words = 0;
 };
 
-/// Host set kernels a generated kernel calls back into. Mirrored as
-/// `GenOps` in emitted sources. All sorted inputs strictly ascending;
-/// `out` needs min(an, bn) + 8 capacity (vector block stores).
+/// A growable vertex buffer a kernel keeps in its traversal state.
+/// Mirrored as `GenBuf` in emitted sources. Kernels zero-initialize it,
+/// read and write data[0, size) and set `size`; only the host's
+/// `grow` / `release` entries touch `data` and `capacity`.
+struct KernelBuf {
+  std::uint32_t* data = nullptr;
+  std::uint64_t size = 0;      ///< elements in use
+  std::uint64_t capacity = 0;  ///< elements allocated
+};
+
+/// Host entry points a generated kernel calls back into. Mirrored as
+/// `GenOps` in emitted sources — field order and types are the ABI. All
+/// sorted inputs are strictly ascending; a set kernel's `out` needs
+/// min(an, bn) + 8 capacity (vector block stores).
 struct KernelOps {
   std::uint64_t (*intersect)(const std::uint32_t* a, std::uint64_t an,
                              const std::uint32_t* b, std::uint64_t bn,
@@ -75,6 +95,28 @@ struct KernelOps {
                                                  const std::uint64_t* bits,
                                                  std::uint32_t lo,
                                                  std::uint32_t hi) = nullptr;
+  /// Makes `buf->capacity >= need`. When it reallocates, the old contents
+  /// are dropped and `size` becomes 0 (every caller overwrites the buffer).
+  void (*grow)(KernelBuf* buf, std::uint64_t need) = nullptr;
+  /// Frees `buf->data` and zeroes the struct.
+  void (*release)(KernelBuf* buf) = nullptr;
+  /// set = ∩_j N(vs[j]) for nv >= 1 predecessors, hub-aware (probes a hub
+  /// bitmap row where an endpoint has one); `scr` is scratch.
+  void (*build_isect)(const KernelGraph* g, const std::uint32_t* vs,
+                      std::uint64_t nv, KernelBuf* set,
+                      KernelBuf* scr) = nullptr;
+  /// |∩_j N(vs[j]) ∩ [lo, hi)| for nv >= 3, hub-aware, with a size-only
+  /// final step; `buf` and `scr` are scratch.
+  std::uint64_t (*isect_size_chain_bounded)(const KernelGraph* g,
+                                            const std::uint32_t* vs,
+                                            std::uint64_t nv, std::uint32_t lo,
+                                            std::uint32_t hi, KernelBuf* buf,
+                                            KernelBuf* scr) = nullptr;
+  /// |∩_j *sets[j]| for ns >= 3 materialized sets (IEP block factors);
+  /// `scr_a` and `scr_b` are scratch.
+  std::uint64_t (*isect_size_set_chain)(const KernelBuf* const* sets,
+                                        std::uint64_t ns, KernelBuf* scr_a,
+                                        KernelBuf* scr_b) = nullptr;
 };
 
 /// Per-invocation execution knobs. Mirrored as `GenRun` in emitted
@@ -104,8 +146,9 @@ struct KernelRunOptions {
 };
 
 /// The ops table backed by the host's runtime-dispatched kernels
-/// (graph/vertex_set.h). One static instance; always valid. All entries
-/// are stateless and safe to call from concurrent kernel workers.
+/// (graph/vertex_set.h) and heap. One static instance; always valid. All
+/// entries are stateless and safe to call from concurrent kernel workers
+/// (each worker passes its own buffers).
 [[nodiscard]] const KernelOps& host_kernel_ops() noexcept;
 
 /// View over `g` for a kernel call. Includes the hub index iff built —

@@ -89,6 +89,21 @@ std::uint64_t pattern_set_hash(const PlanForest& forest) {
   return fnv1a(oss.str());
 }
 
+/// File name stem of a forest's artifacts: "graphpi_<pattern set>_<source>".
+std::string artifact_stem(const PlanForest& forest, const std::string& source) {
+  char stem[64];
+  std::snprintf(stem, sizeof stem, "graphpi_%016llx_%016llx",
+                static_cast<unsigned long long>(pattern_set_hash(forest)),
+                static_cast<unsigned long long>(fnv1a(source)));
+  return stem;
+}
+
+std::string emit(const PlanForest& forest) {
+  codegen::CodegenOptions opt;
+  opt.function_name = kEntrySymbol;
+  return codegen::generate_forest_source(forest, opt);
+}
+
 }  // namespace
 
 bool compiler_available() {
@@ -127,9 +142,7 @@ GeneratedBatchFn KernelCache::get(const PlanForest& forest) {
   if (!compiler_available()) return nullptr;
   const support::trace::Span span("jit.cache.get");
 
-  codegen::CodegenOptions opt;
-  opt.function_name = kEntrySymbol;
-  const std::string source = codegen::generate_forest_source(forest, opt);
+  const std::string source = emit(forest);
   const std::uint64_t key = fnv1a(source);
 
   {
@@ -148,14 +161,11 @@ GeneratedBatchFn KernelCache::get(const PlanForest& forest) {
   // not stall other threads' memory hits. Two threads racing on the same
   // key do benign duplicate work — the .so is published by atomic rename
   // (identical content either way) and the first map insert below wins.
-  char stem[64];
-  std::snprintf(stem, sizeof stem, "graphpi_%016llx_%016llx",
-                static_cast<unsigned long long>(pattern_set_hash(forest)),
-                static_cast<unsigned long long>(key));
+  const std::string stem = artifact_stem(forest, source);
   std::error_code ec;
   fs::create_directories(dir_, ec);
-  const fs::path so = fs::path(dir_) / (std::string(stem) + ".so");
-  const fs::path cpp = fs::path(dir_) / (std::string(stem) + ".cpp");
+  const fs::path so = fs::path(dir_) / (stem + ".so");
+  const fs::path cpp = fs::path(dir_) / (stem + ".cpp");
 
   const auto load = [&](bool fresh_build) -> GeneratedBatchFn {
     void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
@@ -195,12 +205,9 @@ GeneratedBatchFn KernelCache::get(const PlanForest& forest) {
         ".tmp" + std::to_string(static_cast<long>(::getpid())) + "_" +
         std::to_string(
             attempt_counter.fetch_add(1, std::memory_order_relaxed));
-    const fs::path tmp_cpp =
-        fs::path(dir_) / (std::string(stem) + attempt + ".cpp");
-    const fs::path tmp_so =
-        fs::path(dir_) / (std::string(stem) + attempt + ".so");
-    const fs::path log = fs::path(dir_) / (std::string(stem) + attempt +
-                                           ".log");
+    const fs::path tmp_cpp = fs::path(dir_) / (stem + attempt + ".cpp");
+    const fs::path tmp_so = fs::path(dir_) / (stem + attempt + ".so");
+    const fs::path log = fs::path(dir_) / (stem + attempt + ".log");
     std::ofstream out(tmp_cpp);
     out << source;
     out.close();
@@ -267,6 +274,11 @@ GeneratedBatchFn KernelCache::record_result(std::uint64_t key,
   const auto [it, inserted] = impl_->entries.emplace(key, Entry{fn});
   if (!inserted && it->second.fn == nullptr) it->second.fn = fn;
   return it->second.fn;  // first successful publisher wins
+}
+
+std::string KernelCache::artifact_path(const PlanForest& forest) const {
+  return (fs::path(dir_) / (artifact_stem(forest, emit(forest)) + ".so"))
+      .string();
 }
 
 KernelCache::Stats KernelCache::stats() const {

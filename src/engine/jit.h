@@ -73,6 +73,9 @@ class KernelCache {
   /// Directory holding the .cpp/.so artifacts.
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }
 
+  /// The shared object get() publishes (and looks for) for `forest`.
+  [[nodiscard]] std::string artifact_path(const PlanForest& forest) const;
+
  private:
   KernelCache();
   struct Entry;

@@ -2,8 +2,9 @@
 // compiler, load them, and compare their counts against the in-process
 // engines — the "code generation and compilation" stage of Figure 3, now
 // emitted from the plan IR. Covers plain and IEP plans, a multi-pattern
-// forest kernel, the hub-index and no-hub graph views, the host ops table
-// vs the emitted fallback kernels, and scalar vs SIMD runtime dispatch.
+// forest kernel, the hub-index and no-hub graph views, and scalar vs SIMD
+// runtime dispatch of the host ops table, plus the standalone programs
+// that run on their own portable ops table.
 #include <dlfcn.h>
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "codegen/kernel_abi.h"
 #include "core/configuration.h"
 #include "core/pattern_library.h"
-#include "engine/forest.h"
 #include "engine/forest.h"
 #include "graph/generators.h"
 #include "graph/vertex_set.h"
@@ -71,8 +71,6 @@ void expect_kernel_matches(SingleFn kernel, const Graph& g, Count want,
 
   EXPECT_EQ(kernel(&with_hubs, &ops, nullptr), want) << label << " hub+ops";
   EXPECT_EQ(kernel(&no_hubs, &ops, nullptr), want) << label << " nohub+ops";
-  EXPECT_EQ(kernel(&with_hubs, nullptr, nullptr), want)
-      << label << " hub+fallback";
 
   // Same kernel, explicit worker count: the OpenMP root partitioning must
   // reproduce the serial sum exactly (u64 adds commute).
@@ -224,41 +222,51 @@ TEST(CodegenForestExec, PatternLibrarySweepInOneKernel) {
   dlclose(handle);
 }
 
-TEST(CodegenExec, StandaloneProgramCompilesAndRuns) {
-  // The standalone form (kernel + edge-list main on the emitted fallback
-  // kernels) must build with nothing but a C++17 compiler and reproduce
-  // the engine count — including the IEP division, which happens inside
+TEST(CodegenExec, StandaloneProgramsCompileAndRun) {
+  // The standalone form (kernel + edge-list main + the portable ops
+  // table) must build with nothing but a C++17 compiler and reproduce the
+  // engine count. clique4 takes the size-only chain over 3 adjacencies;
+  // the IEP plans take suffix sets, and the IEP division happens inside
   // the kernel.
   const Graph g = test_graph();
-  PlannerOptions planner;
-  planner.use_iep = true;
-  const Configuration config =
-      plan_configuration(patterns::house(), GraphStats::of(g), planner);
-  ASSERT_GT(config.iep.k, 0);
-
   const fs::path dir = fs::temp_directory_path();
-  const fs::path cpp = dir / "graphpi_gen_standalone.cpp";
-  const fs::path bin = dir / "graphpi_gen_standalone";
   const fs::path edges = dir / "graphpi_gen_standalone_edges.txt";
-  {
-    std::ofstream out(cpp);
-    out << codegen::generate_standalone(config);
-  }
   save_edge_list(g, edges.string());
-  ASSERT_EQ(std::system(("g++ -O2 -std=c++17 -o " + bin.string() + " " +
-                         cpp.string() + " 2>/dev/null")
-                            .c_str()),
-            0)
-      << "standalone program failed to compile";
-  const fs::path out_file = dir / "graphpi_gen_standalone_out.txt";
-  ASSERT_EQ(std::system((bin.string() + " " + edges.string() + " > " +
-                         out_file.string())
-                            .c_str()),
-            0);
-  std::ifstream result(out_file);
-  unsigned long long count = 0;
-  result >> count;
-  EXPECT_EQ(count, count_embeddings(g, config));
+  for (const auto& [tag, pattern, use_iep] :
+       {std::tuple<const char*, Pattern, bool>{"clique4", patterns::clique(4),
+                                               false},
+        {"house_iep", patterns::house(), true},
+        {"pentagon_iep", patterns::pentagon(), true}}) {
+    PlannerOptions planner;
+    planner.use_iep = use_iep;
+    const Configuration config =
+        plan_configuration(pattern, GraphStats::of(g), planner);
+    if (use_iep) {
+      ASSERT_GT(config.iep.k, 0) << tag;
+    }
+    const std::string stem = std::string("graphpi_gen_standalone_") + tag;
+    const fs::path cpp = dir / (stem + ".cpp");
+    const fs::path bin = dir / stem;
+    const fs::path out_file = dir / (stem + "_out.txt");
+    {
+      std::ofstream out(cpp);
+      out << codegen::generate_standalone(config);
+    }
+    ASSERT_EQ(std::system(("g++ -O2 -std=c++17 -o " + bin.string() + " " +
+                           cpp.string() + " 2>/dev/null")
+                              .c_str()),
+              0)
+        << tag << ": standalone program failed to compile";
+    ASSERT_EQ(std::system((bin.string() + " " + edges.string() + " > " +
+                           out_file.string())
+                              .c_str()),
+              0)
+        << tag;
+    std::ifstream result(out_file);
+    unsigned long long count = 0;
+    result >> count;
+    EXPECT_EQ(count, count_embeddings(g, config)) << tag;
+  }
 }
 
 TEST(CodegenExec, AbiVersionExported) {

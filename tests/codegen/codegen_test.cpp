@@ -1,7 +1,11 @@
 // Code generator: structural checks on the emitted source.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "codegen/codegen.h"
 #include "core/configuration.h"
@@ -133,6 +137,36 @@ TEST(CodegenForest, OneNodeFunctionPerTrieNode) {
         << "missing node function " << i;
   // Batch entry writes one count per plan.
   EXPECT_NE(src.find("unsigned long long* counts"), std::string::npos);
+}
+
+TEST(Codegen, JitSourcesIncludeNoLibraryHeaders) {
+  // What a kernel costs to compile is mostly what it includes: the JIT
+  // form holds only its plan's loop nest over the ops table, so it may
+  // include <cstddef>, <cstdint> and <omp.h> and nothing that needs std::.
+  const Graph g = clustered_power_law(200, 900, 2.3, 0.4, 3);
+  const GraphStats stats = GraphStats::of(g);
+  std::vector<Plan> census;
+  for (const Pattern& p : patterns::connected_motifs(4))
+    census.push_back(compile_plan(plan_configuration(p, stats, {})));
+  const Configuration iep = house_config(/*use_iep=*/true);
+  ASSERT_GT(iep.iep.k, 0);
+  const std::pair<const char*, std::string> sources[] = {
+      {"plain", codegen::generate_source(house_config())},
+      {"iep", codegen::generate_source(iep)},
+      {"census4", codegen::generate_forest_source(PlanForest(census))}};
+  const std::set<std::string> allowed = {
+      "#include <cstddef>", "#include <cstdint>", "#include <omp.h>"};
+  for (const auto& [label, src] : sources) {
+    std::istringstream lines(src);
+    std::size_t includes = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("#include", 0) != 0) continue;
+      ++includes;
+      EXPECT_EQ(allowed.count(line), 1u) << label << ": " << line;
+    }
+    EXPECT_GT(includes, 0u) << label;
+    EXPECT_EQ(src.find("std::"), std::string::npos) << label;
+  }
 }
 
 }  // namespace

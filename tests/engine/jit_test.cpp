@@ -1,12 +1,16 @@
 // KernelCache / Backend::kGenerated integration: the emit -> compile ->
 // dlopen -> execute pipeline behind the generated backend, its caching
 // behavior, and the transparent interpreter fallback.
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 
 #include "api/graphpi.h"
 #include "core/pattern_library.h"
+#include "engine/forest.h"
 #include "engine/jit.h"
 #include "graph/generators.h"
 #include "graph/vertex_set.h"
@@ -78,6 +82,50 @@ TEST(KernelCache, SecondUseHitsTheCache) {
   // The second identical run must not recompile.
   EXPECT_EQ(after.compiles, before.compiles);
   EXPECT_GT(after.memory_hits, before.memory_hits);
+}
+
+TEST(KernelCache, StaleAbiArtifactIsEvictedAndRebuilt) {
+  if (!jit::compiler_available()) GTEST_SKIP() << "no system compiler";
+  // A warm disk cache from a build with an older kernel ABI: the artifact
+  // sits under the exact name get() computes, but reports version 3.
+  // get() must refuse it, evict it and compile a current one in its place.
+  const Graph g = test_graph();
+  const GraphStats stats = GraphStats::of(g);
+  std::vector<Plan> plans;
+  for (const Pattern& p : {patterns::cycle(5), patterns::hourglass()})
+    plans.push_back(compile_plan(plan_configuration(p, stats, {})));
+  const PlanForest forest(std::move(plans));
+  jit::KernelCache& cache = jit::KernelCache::instance();
+  const std::filesystem::path so = cache.artifact_path(forest);
+  std::filesystem::create_directories(so.parent_path());
+  const std::filesystem::path stale_cpp = so.string() + ".stale.cpp";
+  {
+    std::ofstream out(stale_cpp);
+    out << "extern \"C\" unsigned graphpi_kernel_batch_abi() { return 3; }\n"
+           "extern \"C\" void graphpi_kernel_batch(const void*, const void*,"
+           " const void*, unsigned long long*) {}\n";
+  }
+  ASSERT_EQ(std::system((jit::compiler_command() + " -shared -fPIC -o '" +
+                         so.string() + "' '" + stale_cpp.string() + "'")
+                            .c_str()),
+            0);
+  std::filesystem::remove(stale_cpp);
+
+  const auto before = cache.stats();
+  const auto counts = jit::run_generated(g, forest);
+  const auto after = cache.stats();
+  ASSERT_TRUE(counts.has_value());
+  EXPECT_EQ(*counts, ForestExecutor(g, forest).count());
+  EXPECT_EQ(after.compiles - before.compiles, 1u);
+  EXPECT_EQ(after.disk_hits - before.disk_hits, 0u);
+
+  void* handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ASSERT_NE(handle, nullptr) << dlerror();
+  const auto abi = reinterpret_cast<unsigned (*)()>(
+      dlsym(handle, "graphpi_kernel_batch_abi"));
+  ASSERT_NE(abi, nullptr);
+  EXPECT_EQ(abi(), codegen::kKernelAbiVersion);
+  dlclose(handle);
 }
 
 TEST(KernelCache, ScalarDispatchReachesGeneratedKernels) {

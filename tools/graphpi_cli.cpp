@@ -107,8 +107,9 @@ pattern: triangle|rectangle|house|pentagon|hourglass|cycle6tri|
 compiler is found). Generated kernels run their root loop in parallel;
 --threads caps the worker count for both the parallel and generated
 backends (default: all cores); both split the work by root vertex.
---emit writes the generated C++ kernel for the planned configuration
-without requiring that backend.
+--emit writes the planned configuration as a standalone C++ program
+(kernel plus an edge-list main; builds with g++ -O2 -std=c++17) without
+requiring that backend.
 --timeout-ms / --budget bound the run (any backend): on expiry the count
 is a best-effort partial and a "status:" line reports why it stopped and
 how many root vertices completed. --fault-* inject seeded deterministic
@@ -164,33 +165,37 @@ int cmd_count(const std::string& graph_spec, const std::string& pattern_spec,
   std::uint64_t fault_seed = dist::FaultPlan{}.seed;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-iep") options.use_iep = false;
-    if (arg == "--parallel") options.backend = Backend::kParallel;
-    if (arg == "--nodes" && i + 1 < argc) {
+    // The value of a value flag; a value flag given last has none.
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) throw UsageError(arg + " expects a value");
+      return argv[++i];
+    };
+    if (arg == "--no-iep") {
+      options.use_iep = false;
+    } else if (arg == "--parallel") {
+      options.backend = Backend::kParallel;
+    } else if (arg == "--nodes") {
       options.backend = Backend::kDistributed;
-      options.nodes = static_cast<int>(int_flag(arg, argv[++i], 1, 1024));
-    }
-    if (arg == "--threads" && i + 1 < argc)
-      options.threads = static_cast<int>(int_flag(arg, argv[++i], 0, 4096));
-    if (arg == "--partition" && i + 1 < argc) {
-      if (!dist::parse_partition(argv[++i], options.partition)) {
+      options.nodes = static_cast<int>(int_flag(arg, value(), 1, 1024));
+    } else if (arg == "--threads") {
+      options.threads = static_cast<int>(int_flag(arg, value(), 0, 4096));
+    } else if (arg == "--partition") {
+      if (!dist::parse_partition(value(), options.partition)) {
         std::cerr << "unknown partition strategy: " << argv[i] << "\n";
         return 2;
       }
-    }
-    if (arg == "--exec" && i + 1 < argc) {
-      if (!dist::parse_exec_mode(argv[++i], options.dist_exec)) {
+    } else if (arg == "--exec") {
+      if (!dist::parse_exec_mode(value(), options.dist_exec)) {
         std::cerr << "unknown exec mode: " << argv[i] << "\n";
         return 2;
       }
-    }
-    if (arg == "--dist-workers" && i + 1 < argc)
-      options.dist_workers = static_cast<int>(int_flag(arg, argv[++i], 1, 64));
-    if (arg == "--mailbox" && i + 1 < argc)
+    } else if (arg == "--dist-workers") {
+      options.dist_workers = static_cast<int>(int_flag(arg, value(), 1, 64));
+    } else if (arg == "--mailbox") {
       options.dist_mailbox_capacity =
-          static_cast<int>(int_flag(arg, argv[++i], 0, 1 << 24));
-    if (arg == "--backend" && i + 1 < argc) {
-      const std::string backend = argv[++i];
+          static_cast<int>(int_flag(arg, value(), 0, 1 << 24));
+    } else if (arg == "--backend") {
+      const std::string backend = value();
       if (backend == "serial") {
         options.backend = Backend::kSerial;
       } else if (backend == "parallel") {
@@ -201,27 +206,32 @@ int cmd_count(const std::string& graph_spec, const std::string& pattern_spec,
         std::cerr << "unknown backend: " << backend << "\n";
         return 2;
       }
-    }
-    if (arg == "--emit" && i + 1 < argc) emit_path = argv[++i];
-    if (arg == "--metrics-json" && i + 1 < argc) metrics_path = argv[++i];
-    if (arg == "--trace-json" && i + 1 < argc) trace_path = argv[++i];
-    if (arg == "--timeout-ms" && i + 1 < argc)
-      options.timeout_ms = ms_flag(arg, argv[++i]);
-    if (arg == "--budget" && i + 1 < argc)
-      options.work_budget = u64_flag(arg, argv[++i]);
-    if (arg == "--poll-stride" && i + 1 < argc)
+    } else if (arg == "--emit") {
+      emit_path = value();
+    } else if (arg == "--metrics-json") {
+      metrics_path = value();
+    } else if (arg == "--trace-json") {
+      trace_path = value();
+    } else if (arg == "--timeout-ms") {
+      options.timeout_ms = ms_flag(arg, value());
+    } else if (arg == "--budget") {
+      options.work_budget = u64_flag(arg, value());
+    } else if (arg == "--poll-stride") {
       options.poll_stride =
-          static_cast<std::uint32_t>(int_flag(arg, argv[++i], 0, 1 << 20));
-    if (arg == "--fault-drop" && i + 1 < argc)
-      fault_rates.drop = rate_flag(arg, argv[++i]);
-    if (arg == "--fault-duplicate" && i + 1 < argc)
-      fault_rates.duplicate = rate_flag(arg, argv[++i]);
-    if (arg == "--fault-reorder" && i + 1 < argc)
-      fault_rates.reorder = rate_flag(arg, argv[++i]);
-    if (arg == "--fault-corrupt" && i + 1 < argc)
-      fault_rates.corrupt = rate_flag(arg, argv[++i]);
-    if (arg == "--fault-seed" && i + 1 < argc)
-      fault_seed = u64_flag(arg, argv[++i]);
+          static_cast<std::uint32_t>(int_flag(arg, value(), 0, 1 << 20));
+    } else if (arg == "--fault-drop") {
+      fault_rates.drop = rate_flag(arg, value());
+    } else if (arg == "--fault-duplicate") {
+      fault_rates.duplicate = rate_flag(arg, value());
+    } else if (arg == "--fault-reorder") {
+      fault_rates.reorder = rate_flag(arg, value());
+    } else if (arg == "--fault-corrupt") {
+      fault_rates.corrupt = rate_flag(arg, value());
+    } else if (arg == "--fault-seed") {
+      fault_seed = u64_flag(arg, value());
+    } else {
+      throw UsageError("unknown flag for count: '" + arg + "'");
+    }
   }
   options.faults = dist::FaultPlan::uniform(fault_seed, fault_rates.drop,
                                             fault_rates.duplicate,
@@ -242,10 +252,10 @@ int cmd_count(const std::string& graph_spec, const std::string& pattern_spec,
       std::cerr << "cannot write " << emit_path << "\n";
       return 1;
     }
-    const std::string source = codegen::generate_source(config);
+    const std::string source = codegen::generate_standalone(config);
     out << source;
     // Diagnostic on stderr: stdout stays parseable (first line = count).
-    std::cerr << "emitted " << source.size() << " bytes of generated kernel"
+    std::cerr << "emitted " << source.size() << " bytes of generated program"
               << " to " << emit_path << "\n";
   }
   dist::ClusterStats stats;
